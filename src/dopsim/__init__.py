@@ -25,6 +25,7 @@ from .polcore import (
     poincare_from_density,
     rotate_density,
     rotate_poincare,
+    rotate_poincare_many,
     rotation_unitary,
     singlet_probability,
     singlet_projector,
@@ -51,6 +52,7 @@ __all__ = [
     "poincare_from_density",
     "rotate_density",
     "rotate_poincare",
+    "rotate_poincare_many",
     "rotation_unitary",
     "singlet_probability",
     "singlet_projector",

@@ -26,7 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FiberState, FluctuationProcess, apply_fiber, apply_pmd, evolve, PmdElement
+from .channel import (
+    FiberState,
+    FluctuationProcess,
+    PmdElement,
+    apply_pmd,
+    evolve_window,
+    fiber_trace,
+    write_trajectory_csv,
+)
 from .instruments import (
     CrystalStack,
     MeterConfig,
@@ -39,7 +47,7 @@ from .instruments import (
     polarimeter_dop,
     singlet_meter_raw,
 )
-from .polcore import DopsimError, InvariantError, PoincareVector, poincare_angle
+from .polcore import DopsimError, InvariantError, PoincareVector
 from .sources import (
     great_circle_pair,
     modulated_carrier_source,
@@ -380,9 +388,12 @@ def load_config(
         if node is None:
             channel = ChannelSettings()
         else:
-            chan_seed = node.get("seed")
-            if chan_seed is not None and (isinstance(chan_seed, bool) or not isinstance(chan_seed, int)):
-                raise ConfigError("channel.seed: expected an integer")
+            chan_seed = None
+            if node.get("seed") is not None:
+                chan_seed = node.get_int("seed", minimum=0)
+            ref_wavelength = None
+            if node.get("ref_wavelength_nm") is not None:
+                ref_wavelength = node.get_number("ref_wavelength_nm", exclusive_min=0.0)
             channel = ChannelSettings(
                 axis=_normalized_axis(
                     node.get_vector("axis", 3, default=(0.0, 0.0, 1.0)), "channel.axis"
@@ -391,7 +402,7 @@ def load_config(
                 retardance_sigma_rad=node.get_number("retardance_sigma_rad", 0.5, minimum=0.0),
                 axis_diffusion_rad2_per_s=node.get_number("axis_diffusion_rad2_per_s", 10.0, minimum=0.0),
                 correlation_time_s=node.get_number("correlation_time_s", 0.1, exclusive_min=0.0),
-                ref_wavelength_nm=node.get("ref_wavelength_nm"),
+                ref_wavelength_nm=ref_wavelength,
                 seed=chan_seed,
             )
             node.finish()
@@ -405,8 +416,17 @@ def load_config(
             )
             node.finish()
         duration_s = shake.windows * shake.window_s
-        if int(round(shake.window_s / dt_s)) < 1:
+        window_samples = int(round(shake.window_s / dt_s))
+        if window_samples < 1:
             raise ConfigError("shake.window_s: shorter than one sample interval")
+        integration_samples = int(round(polarimeter.integration_time_s / dt_s))
+        if integration_samples < 1:
+            raise ConfigError("polarimeter.integration_time_s: shorter than one sample interval")
+        if integration_samples > window_samples:
+            raise ConfigError(
+                f"polarimeter.integration_time_s: {polarimeter.integration_time_s} s exceeds "
+                f"shake.window_s ({shake.window_s} s)"
+            )
     elif scenario == "pmd_sweep":
         node = root.child("source")
         if node is None:
@@ -711,12 +731,21 @@ class ShakeRecord:
     polarimeter_dop: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShakeResult:
     records: list[ShakeRecord]
     reference_meter_dop: float
     summary: dict
-    trajectory: list[tuple[float, FiberState]]
+    #: fiber trajectory, one row per sample: times_s (n,), axes (n, 3), retardances (n,)
+    times_s: np.ndarray
+    axes: np.ndarray
+    retardances: np.ndarray
+
+
+def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Sphere angle of each row of m (n, 3) from ref (3,), as poincare_angle."""
+    cos = (m @ ref) / (np.linalg.norm(m, axis=1) * np.linalg.norm(ref))
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
@@ -732,40 +761,45 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     src = two_laser_source(
         src_cfg.lambda1_nm, src_cfg.lambda2_nm, src_cfg.intensity1, src_cfg.intensity2, m1, m2
     )
-    ref_wavelength = chan.ref_wavelength_nm or src.wavelengths_nm()[0]
+    ref_wavelength = chan.ref_wavelength_nm
+    if ref_wavelength is None:
+        ref_wavelength = src.wavelengths_nm()[0]
     process = FluctuationProcess(
         correlation_time_s=chan.correlation_time_s,
         axis_diffusion_rad2_per_s=chan.axis_diffusion_rad2_per_s,
         retardance_sigma_rad=chan.retardance_sigma_rad,
         retardance_mean_rad=chan.retardance_mean_rad,
-        seed=channel_seed,
     )
     fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
 
-    samples_per_window = int(round(shake.window_s / cfg.dt_s))
+    n = int(round(shake.window_s / cfg.dt_s))
     meter_noisy = meter.noise_sigma_rel > 0.0
     pol_noisy = cfg.polarimeter.noise_sigma_rel > 0.0
-    reference_m1 = apply_fiber(src, fiber).lines[0].poincare()
 
     records: list[ShakeRecord] = []
-    trajectory: list[tuple[float, FiberState]] = []
-    deflections: list[float] = []
+    axes_path: list[np.ndarray] = []
+    retardance_path: list[np.ndarray] = []
+    deflections: list[np.ndarray] = []
     for window in range(shake.windows):
         shaken = 0 < window < shake.windows - 1
-        snapshots = []
-        for s in range(samples_per_window):
-            if shaken:
-                fiber = evolve(fiber, cfg.dt_s, process, rng_channel)
-            t = (window * samples_per_window + s) * cfg.dt_s
-            snap = apply_fiber(src, fiber)
-            snapshots.append(snap)
-            trajectory.append((t, fiber))
-            if shaken:
-                deflections.append(poincare_angle(snap.lines[0].poincare(), reference_m1))
-        trace = PolarizationTrace(cfg.dt_s, tuple(snapshots))
+        if shaken:
+            axes, retardances = evolve_window(fiber, cfg.dt_s, n, process, rng_channel)
+            fiber = FiberState(tuple(axes[-1].tolist()), float(retardances[-1]), ref_wavelength)
+        else:
+            axes = np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3))
+            retardances = np.full(n, fiber.retardance_ref_rad, dtype=float)
+        trace = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
+        line1 = trace.poincare[:, 0, :]
+        if window == 0:
+            reference_m1 = line1[0]
+        if shaken:
+            deflections.append(_sphere_angles(line1, reference_m1))
+        axes_path.append(axes)
+        retardance_path.append(retardances)
+
         readout = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None)
         estimate = invert_meter_readout(
-            np.array([readout.mean()]), meter, trace.wavelengths_nm(), src.intensities()
+            np.array([readout.mean()]), meter, trace.wavelengths, src.intensities()
         )
         pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None)
         records.append(
@@ -781,6 +815,7 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
             )
         )
 
+    deflection = np.concatenate(deflections) if deflections else np.zeros(0)
     reference = 0.5 * (records[0].meter_dop + records[-1].meter_dop)
     shaken_records = [r for r in records if r.shaken]
     summary = {
@@ -798,10 +833,17 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
         "mean_shaken_polarimeter_dop": (
             float(np.mean([r.polarimeter_dop for r in shaken_records])) if shaken_records else math.nan
         ),
-        "scrambling_mean_deflection_rad": float(np.mean(deflections)) if deflections else 0.0,
-        "scrambling_max_deflection_rad": float(np.max(deflections)) if deflections else 0.0,
+        "scrambling_mean_deflection_rad": float(np.mean(deflection)) if deflection.size else 0.0,
+        "scrambling_max_deflection_rad": float(np.max(deflection)) if deflection.size else 0.0,
     }
-    return ShakeResult(records, reference, summary, trajectory)
+    return ShakeResult(
+        records,
+        reference,
+        summary,
+        times_s=np.arange(shake.windows * n) * cfg.dt_s,
+        axes=np.concatenate(axes_path),
+        retardances=np.concatenate(retardance_path),
+    )
 
 
 SHAKE_CSV_HEADER = (
@@ -829,11 +871,7 @@ def write_shake_outputs(
     )
     _write_json(summary_json, result.summary)
     if trajectory_csv is not None:
-        from .channel import write_trajectory_csv
-
-        times = [t for t, _ in result.trajectory]
-        fibers = [f for _, f in result.trajectory]
-        write_trajectory_csv(trajectory_csv, times, fibers)
+        write_trajectory_csv(trajectory_csv, result.times_s, result.axes, result.retardances)
 
 
 @dataclass(frozen=True)
@@ -875,9 +913,7 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
         src = apply_pmd(src0, element, carrier.carrier_nm)
         trace = PolarizationTrace.static(src, 1, cfg.dt_s)
         readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
-        estimate = invert_meter_readout(
-            readout, meter, trace.wavelengths_nm(), src.intensities()
-        )
+        estimate = invert_meter_readout(readout, meter, trace.wavelengths, src.intensities())
         records.append(
             PmdRecord(
                 dgd_s=float(dgd),

@@ -52,6 +52,7 @@ from .polcore import (
     InvariantError,
     NumericsError,
     TwoPhotonOperator,
+    poincare_components,
     poincare_from_density,
 )
 from .sources import SourceSpec
@@ -134,57 +135,83 @@ class PolarimeterConfig:
             raise InvariantError("PolarimeterConfig: noise_sigma_rel must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationTrace:
-    """Uniformly sampled sequence of beam snapshots with fixed line structure."""
+    """Uniformly sampled beam with a fixed line structure, as arrays.
+
+    ``wavelengths`` is (L,), ``intensities`` (n, L) and ``poincare`` the
+    lines' Poincare vectors (n, L, 3).  Construction checks the shapes; the
+    values must meet the per-line invariants (finite, intensities >= 0,
+    |M| <= 1 + 1e-12), which ``static`` and ``from_snapshots`` inherit from
+    validated beams and ``channel.fiber_trace`` checks in bulk.
+    """
 
     dt_s: float
-    snapshots: tuple[SourceSpec, ...]
+    wavelengths: np.ndarray
+    intensities: np.ndarray
+    poincare: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0.0:
+        if not self.dt_s > 0.0:
             raise InvariantError("PolarizationTrace: dt_s must be > 0")
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
-        if not self.snapshots:
+        n_lines = len(self.wavelengths)
+        if self.intensities.ndim != 2 or self.intensities.shape[1] != n_lines or n_lines < 1:
+            raise InvariantError("PolarizationTrace: intensities must be (samples, lines)")
+        if self.poincare.shape != self.intensities.shape + (3,):
+            raise InvariantError("PolarizationTrace: poincare must be (samples, lines, 3)")
+        if len(self.intensities) < 1:
             raise InvariantError("PolarizationTrace: need at least one sample")
-        wavelengths = self.snapshots[0].wavelengths_nm()
-        for i, snap in enumerate(self.snapshots[1:], start=1):
+
+    def __len__(self) -> int:
+        return len(self.intensities)
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) * self.dt_s
+
+    @classmethod
+    def static(cls, src: SourceSpec, n_samples: int, dt_s: float) -> "PolarizationTrace":
+        """``src`` held for ``n_samples`` samples (broadcast, not copied)."""
+        if n_samples < 1:
+            raise InvariantError("PolarizationTrace.static: n_samples must be >= 1")
+        mvecs = np.array([poincare_components(line.polarization) for line in src.lines])
+        return cls(
+            dt_s,
+            np.array(src.wavelengths_nm(), dtype=float),
+            _held(np.array(src.intensities(), dtype=float), n_samples),
+            _held(mvecs, n_samples),
+        )
+
+    @classmethod
+    def from_snapshots(cls, dt_s: float, snapshots: Sequence[SourceSpec]) -> "PolarizationTrace":
+        """One sample per beam snapshot; every snapshot must share the first's wavelengths."""
+        if not snapshots:
+            raise InvariantError("PolarizationTrace: need at least one sample")
+        wavelengths = snapshots[0].wavelengths_nm()
+        for i, snap in enumerate(snapshots[1:], start=1):
             if snap.wavelengths_nm() != wavelengths:
                 raise InvariantError(
                     f"PolarizationTrace: snapshot {i} changes the line wavelengths"
                 )
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.snapshots) * self.dt_s
-
-    def wavelengths_nm(self) -> tuple[float, ...]:
-        return self.snapshots[0].wavelengths_nm()
-
-    @classmethod
-    def static(cls, src: SourceSpec, n_samples: int, dt_s: float) -> "PolarizationTrace":
-        if n_samples < 1:
-            raise InvariantError("PolarizationTrace.static: n_samples must be >= 1")
-        return cls(dt_s, (src,) * n_samples)
+        return cls(
+            dt_s,
+            np.array(wavelengths, dtype=float),
+            np.array([snap.intensities() for snap in snapshots], dtype=float),
+            np.array(
+                [[poincare_components(line.polarization) for line in snap.lines] for snap in snapshots]
+            ),
+        )
 
 
-def _trace_arrays(trace: PolarizationTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(wavelengths (L,), intensities (n, L), poincare vectors (n, L, 3))."""
-    wavelengths = np.asarray(trace.wavelengths_nm(), dtype=float)
-    n, n_lines = len(trace), len(wavelengths)
-    intensities = np.empty((n, n_lines))
-    mvecs = np.empty((n, n_lines, 3))
-    for t, snap in enumerate(trace.snapshots):
-        for i, line in enumerate(snap.lines):
-            intensities[t, i] = line.intensity
-            rho = line.polarization.matrix
-            mvecs[t, i, 0] = 2.0 * rho[0, 1].real
-            mvecs[t, i, 1] = -2.0 * rho[0, 1].imag
-            mvecs[t, i, 2] = rho[0, 0].real - rho[1, 1].real
-    return wavelengths, intensities, mvecs
+def _held(row: np.ndarray, n: int) -> np.ndarray:
+    """``row`` repeated n times along a new first axis, as a read-only view.
+
+    The broadcast np.broadcast_to gives, at a quarter of its fixed cost, which
+    counts for the one-sample traces built once per scan point or DGD step.
+    """
+    view = np.ndarray((n,) + row.shape, row.dtype, row, strides=(0,) + row.strides)
+    view.flags.writeable = False
+    return view
 
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
@@ -255,12 +282,12 @@ def singlet_meter_raw(
     multiplicative noise.  Samples with no convertible pair fall to the dark
     level.
     """
-    if len(trace.wavelengths_nm()) < 2:
+    if len(trace.wavelengths) < 2:
         raise InvariantError("singlet_meter_raw: nothing to upconvert in a single-line beam")
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("singlet_meter_raw: noisy config needs an explicit rng")
 
-    wavelengths, intensities, mvecs = _trace_arrays(trace)
+    intensities, mvecs = trace.intensities, trace.poincare
     window = max(1, int(round(cfg.response_time_s / trace.dt_s)))
     s0 = _trailing_mean(intensities, window)
     svec = _trailing_mean(intensities[:, :, None] * mvecs, window)
@@ -270,7 +297,7 @@ def singlet_meter_raw(
     n = len(trace)
     weighted = np.zeros(n)
     weights = np.zeros(n)
-    for i, j, c in _pair_table(wavelengths, cfg):
+    for i, j, c in _pair_table(trace.wavelengths, cfg):
         w = s0[:, i] * s0[:, j]
         p = pair_projection_probability(m_avg[:, i, :], m_avg[:, j, :], cfg.stage_phase_rad)
         weighted += w * ((1.0 - c) * p + 0.25 * c)
@@ -347,9 +374,7 @@ def singlet_meter_dop(
 ) -> MeterDopEstimate:
     """Per-sample DOP estimate: forward readout plus model inversion."""
     readout = singlet_meter_raw(trace, cfg, rng)
-    return invert_meter_readout(
-        readout, cfg, trace.wavelengths_nm(), trace.snapshots[0].intensities()
-    )
+    return invert_meter_readout(readout, cfg, trace.wavelengths, trace.intensities[0])
 
 
 def polarimeter_dop(
@@ -366,9 +391,8 @@ def polarimeter_dop(
     if window < 1 or len(trace) < window:
         raise InvariantError("polarimeter_dop: trace shorter than the integration time")
 
-    _, intensities, mvecs = _trace_arrays(trace)
-    s0 = intensities.sum(axis=1)
-    svec = (intensities[:, :, None] * mvecs).sum(axis=1)
+    s0 = trace.intensities.sum(axis=1)
+    svec = (trace.intensities[:, :, None] * trace.poincare).sum(axis=1)
 
     n_windows = len(trace) // window
     out = np.empty(n_windows)

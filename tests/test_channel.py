@@ -76,7 +76,6 @@ class TestEvolve:
             axis_diffusion_rad2_per_s=10.0,
             retardance_sigma_rad=0.5,
             retardance_mean_rad=2.0,
-            seed=1,
         )
         base.update(kw)
         return FluctuationProcess(**base)
@@ -92,7 +91,7 @@ class TestEvolve:
         proc = self.process()
         runs = []
         for _ in range(2):
-            rng = np.random.default_rng(proc.seed)
+            rng = np.random.default_rng(1)
             f = fiber
             traj = []
             for _ in range(200):
@@ -114,9 +113,9 @@ class TestEvolve:
     def test_stationary_retardance_statistics(self):
         # one million steps at dt = tau/2; subsample every 5 tau for a nearly
         # independent draw from the stationary law
-        proc = self.process(seed=12345)
+        proc = self.process()
         fiber = FiberState((0, 0, 1), proc.retardance_mean_rad, 1552.0)
-        rng = np.random.default_rng(proc.seed)
+        rng = np.random.default_rng(12345)
         dt = proc.correlation_time_s / 2.0
         n_steps = 1_000_000
         retardances = np.empty(n_steps)
@@ -211,8 +210,7 @@ class TestAnglePreservation:
 class TestTrajectoryCsv:
     def test_round_trip_columns(self, tmp_path):
         path = tmp_path / "trajectory.csv"
-        fibers = [FiberState((0, 0, 1), 1.0, 1552.0), FiberState((0, 1, 0), 2.0, 1552.0)]
-        write_trajectory_csv(path, [0.0, 0.1], fibers)
+        write_trajectory_csv(path, [0.0, 0.1], [(0, 0, 1), (0, 1, 0)], [1.0, 2.0])
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "time_s,axis1,axis2,axis3,retardance_rad"
         assert rows[1] == "0,0,0,1,1"

@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dopsim
 from dopsim.cli import cli_main
 from dopsim.harness import (
     ConfigError,
@@ -264,6 +266,23 @@ class TestCli:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "section,fields,path",
+        [
+            ("channel", {"ref_wavelength_nm": "x"}, "channel.ref_wavelength_nm"),
+            ("channel", {"ref_wavelength_nm": 0}, "channel.ref_wavelength_nm"),
+            ("channel", {"ref_wavelength_nm": -5}, "channel.ref_wavelength_nm"),
+            ("channel", {"seed": -1}, "channel.seed"),
+            ("polarimeter", {"integration_time_s": 0.8}, "polarimeter.integration_time_s"),
+        ],
+        ids=["ref_wavelength_str", "ref_wavelength_zero", "ref_wavelength_negative",
+             "channel_seed_negative", "integration_longer_than_window"],
+    )
+    def test_shake_config_error_exits_2_naming_field(self, tmp_path, capsys, section, fields, path):
+        config = write_json(tmp_path / "shake.json", dict(SMALL_SHAKE, **{section: fields}))
+        assert cli_main(["shake", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert path in capsys.readouterr().err
+
     def test_pmd_and_calibrate_commands(self, tmp_path):
         pmd_path = write_json(tmp_path / "pmd.json", {"scenario": "pmd_sweep"})
         assert cli_main(["pmd", "--config", pmd_path, "--out", str(tmp_path / "p")]) == 0
@@ -285,10 +304,14 @@ class TestCli:
 
     def test_console_entry_point(self, tmp_path):
         path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})
+        # the child imports dopsim from wherever this process does
+        src = str(Path(dopsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "dopsim.cli", "validate-config", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "OK" in proc.stdout

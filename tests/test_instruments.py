@@ -133,7 +133,7 @@ class TestSingletMeterRaw:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(InvariantError):
-            PolarizationTrace(1.0, ())
+            PolarizationTrace.from_snapshots(1.0, ())
 
     def test_noise_requires_rng(self):
         trace, _ = two_line_trace(90.0)
@@ -174,7 +174,7 @@ class TestSingletMeterRaw:
         down = density_from_poincare(PoincareVector(0, 0, -1))
         snap_a = SourceSpec((SpectralLine(1552.0, 1, up), SpectralLine(1554.0, 1, up)))
         snap_b = SourceSpec((SpectralLine(1552.0, 1, up), SpectralLine(1554.0, 1, down)))
-        trace = PolarizationTrace(1.0, (snap_a, snap_b))
+        trace = PolarizationTrace.from_snapshots(1.0, (snap_a, snap_b))
         instant = singlet_meter_raw(trace, IDEAL)
         np.testing.assert_allclose(instant, [0.0, 0.5], atol=1e-15)
         averaged = singlet_meter_raw(trace, MeterConfig(visibility=1.0, response_time_s=2.0))
@@ -236,7 +236,7 @@ class TestSingletMeterDop:
                     rotate_poincare(m1, axis, angle), rotate_poincare(m2, axis, angle),
                 )
             )
-        trace = PolarizationTrace(1.0, tuple(snapshots))
+        trace = PolarizationTrace.from_snapshots(1.0, tuple(snapshots))
         est = singlet_meter_dop(trace, IDEAL)
         np.testing.assert_allclose(est.dop, math.sqrt(0.5), atol=1e-6)
 
@@ -254,7 +254,7 @@ class TestPolarimeter:
             angle = 2 * math.pi * k / n
             m = PoincareVector(math.cos(angle), math.sin(angle), 0.0)
             snapshots.append(SourceSpec((SpectralLine(1550.0, 1.0, density_from_poincare(m)),)))
-        trace = PolarizationTrace(0.01, tuple(snapshots))
+        trace = PolarizationTrace.from_snapshots(0.01, tuple(snapshots))
         out = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=3.6))
         assert out[0] < 1e-10
 
@@ -282,13 +282,13 @@ class TestPolarimeter:
                         rotate_poincare(m1, axis, angle), rotate_poincare(m2, axis, angle),
                     )
                 )
-            trace = PolarizationTrace(0.02, tuple(snapshots))
+            trace = PolarizationTrace.from_snapshots(0.02, tuple(snapshots))
             meter = float(
                 invert_meter_readout(
                     np.array([singlet_meter_raw(trace, IDEAL).mean()]),
                     IDEAL,
-                    trace.wavelengths_nm(),
-                    trace.snapshots[0].intensities(),
+                    trace.wavelengths,
+                    trace.intensities[0],
                 ).dop[0]
             )
             pol = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))[0]
@@ -358,11 +358,11 @@ class TestFiberScrambledOrdering:
             axis = tuple(random_unit_vector(rng))
             fiber = FiberState(axis, rng.normal(2.5, 0.5), 1552.0)
             snapshots.append(apply_fiber(src, fiber))
-        trace = PolarizationTrace(0.05, tuple(snapshots))
+        trace = PolarizationTrace.from_snapshots(0.05, tuple(snapshots))
         meter = invert_meter_readout(
             np.array([singlet_meter_raw(trace, IDEAL).mean()]),
             IDEAL,
-            trace.wavelengths_nm(),
+            trace.wavelengths,
             (1.0, 1.0),
         ).dop[0]
         pol = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=10.0))[0]

@@ -20,6 +20,7 @@ from dopsim.polcore import (
     poincare_from_density,
     rotate_density,
     rotate_poincare,
+    rotate_poincare_many,
     rotation_unitary,
     singlet_probability,
     singlet_projector,
@@ -283,6 +284,42 @@ class TestRotatePoincare:
             direct = u @ rho.matrix @ u.conj().T
             via_vector = rotate_density(rho, axis, angle).matrix
             np.testing.assert_allclose(direct, via_vector, atol=1e-12)
+
+
+class TestRotatePoincareMany:
+    def test_equals_rotate_and_density_round_trip(self):
+        # mixed states of every radius, among them each one whose |M| differs
+        # between PoincareVector.norm (libm pow) and x * x; axes off unit norm
+        # by up to 1e-10
+        rng = np.random.default_rng(47)
+        pool = [random_poincare(rng) for _ in range(20_000)]
+        pow_trap = [m for m in pool if m.norm() != math.sqrt(m.m1 * m.m1 + m.m2 * m.m2 + m.m3 * m.m3)]
+        assert pow_trap
+        states = pow_trap + pool[:1000]
+        axes = np.array([random_unit_vector(rng) * (1 + rng.uniform(-1e-10, 1e-10)) for _ in range(3)])
+        angles = rng.uniform(-10, 10, size=(3, len(states)))
+        out = rotate_poincare_many(states, axes, angles)
+        expected = [
+            [
+                poincare_from_density(density_from_poincare(rotate_poincare(m, axis, angle))).as_array()
+                for m, angle in zip(states, row)
+            ]
+            for axis, row in zip(axes, angles)
+        ]
+        assert np.array_equal(out, np.array(expected))
+
+    def test_axis_checks(self):
+        m = [PoincareVector(0, 0, 1)]
+        with pytest.raises(UndefinedDirectionError):
+            rotate_poincare_many(m, [(0, 0, 0)], [[1.0]])
+        with pytest.raises(InvariantError):
+            rotate_poincare_many(m, [(0, 0, 1.001)], [[1.0]])
+        with pytest.raises(InvariantError):
+            rotate_poincare_many(m, [(0, math.nan, 1)], [[1.0]])
+
+    def test_non_finite_result_rejected(self):
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
+            rotate_poincare_many([PoincareVector(0, 0, 1)], [(1, 0, 0)], [[math.inf]])
 
 
 class TestTypeInvariants:
