@@ -18,11 +18,14 @@ from .polcore import (
     UndefinedDirectionError,
     UndefinedDopError,
     brute_force_trace,
+    check_pure_states,
     density_from_poincare,
     dop,
     mix,
+    mixture_dop_many,
     poincare_angle,
     poincare_from_density,
+    poincare_round_trip,
     rotate_density,
     rotate_poincare,
     rotate_poincare_many,
@@ -45,11 +48,14 @@ __all__ = [
     "UndefinedDirectionError",
     "UndefinedDopError",
     "brute_force_trace",
+    "check_pure_states",
     "density_from_poincare",
     "dop",
     "mix",
+    "mixture_dop_many",
     "poincare_angle",
     "poincare_from_density",
+    "poincare_round_trip",
     "rotate_density",
     "rotate_poincare",
     "rotate_poincare_many",

@@ -29,6 +29,7 @@ from .polcore import (
     InvariantError,
     density_from_poincare,
     poincare_angle,
+    poincare_round_trip,
     rotate_poincare,
     rotate_poincare_many,
 )
@@ -147,7 +148,7 @@ def fiber_trace(
     states = [line.poincare() for line in src.lines]
     wavelengths = np.array(src.wavelengths_nm(), dtype=float)
     angles = retardances[:, None] * ref_wavelength_nm / wavelengths
-    rotated = rotate_poincare_many(states, axes, angles)
+    rotated = poincare_round_trip(rotate_poincare_many(states, axes, angles))
     unrotated = np.array([m.as_array() for m in states])
     mvecs = np.where((retardances == 0.0)[:, None, None], unrotated, rotated)
     intensities = np.broadcast_to(np.array(src.intensities(), dtype=float), mvecs.shape[:2])
@@ -237,18 +238,23 @@ def evolve_window(
     return states[:, :3], states[:, 3]
 
 
+def pmd_turns(wavelengths_nm: Sequence[float], carrier_nm: float) -> np.ndarray:
+    """First-order PMD rotation angle per second of DGD for each line,
+    2*pi*(nu - nu_carrier): (L,).  A DGD of tau turns line l by turns[l] * tau."""
+    if carrier_nm <= 0.0:
+        raise InvariantError("pmd_turns: carrier_nm must be > 0")
+    nu_carrier = SPEED_OF_LIGHT_M_PER_S / (carrier_nm * 1e-9)
+    return np.array(
+        [2.0 * math.pi * (SPEED_OF_LIGHT_M_PER_S / (w * 1e-9) - nu_carrier) for w in wavelengths_nm]
+    )
+
+
 def apply_pmd(src: SourceSpec, element: PmdElement, carrier_nm: float) -> SourceSpec:
     """Rotate each line about the principal axis by 2*pi*(nu - nu_carrier)*DGD."""
-    if carrier_nm <= 0.0:
-        raise InvariantError("apply_pmd: carrier_nm must be > 0")
+    turns = pmd_turns(src.wavelengths_nm(), carrier_nm)
     if element.dgd_s == 0.0:
         return src
-    nu_carrier = SPEED_OF_LIGHT_M_PER_S / (carrier_nm * 1e-9)
-    angles = []
-    for line in src.lines:
-        nu = SPEED_OF_LIGHT_M_PER_S / (line.wavelength_nm * 1e-9)
-        angles.append(2.0 * math.pi * (nu - nu_carrier) * element.dgd_s)
-    return _rotate_lines(src, element.axis, angles)
+    return _rotate_lines(src, element.axis, [turn * element.dgd_s for turn in turns.tolist()])
 
 
 def angle_preservation_error(src: SourceSpec, fiber: FiberState) -> float:

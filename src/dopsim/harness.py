@@ -16,7 +16,6 @@ order (channel, meter, polarimeter).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -29,10 +28,9 @@ import numpy as np
 from .channel import (
     FiberState,
     FluctuationProcess,
-    PmdElement,
-    apply_pmd,
     evolve_window,
     fiber_trace,
+    pmd_turns,
     write_trajectory_csv,
 )
 from .instruments import (
@@ -40,16 +38,26 @@ from .instruments import (
     MeterConfig,
     PolarimeterConfig,
     PolarizationTrace,
+    acceptance_bandwidth,
     calibrate_from_references,
-    degenerate_contamination,
     invert_meter_readout,
     pair_normalization,
+    pair_table,
     polarimeter_dop,
     singlet_meter_raw,
 )
-from .polcore import DopsimError, InvariantError, PoincareVector
+from .polcore import (
+    DopsimError,
+    InvariantError,
+    PoincareVector,
+    check_pure_states,
+    mixture_dop_many,
+    poincare_round_trip,
+    rotate_poincare_many,
+)
 from .sources import (
     great_circle_pair,
+    great_circle_vectors,
     modulated_carrier_source,
     source_dop,
     two_laser_source,
@@ -526,20 +534,13 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.ra
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
-def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], row_template: str, rows) -> None:
+    """CSV with CRLF line ends, each row rendered by one %-template: ``%d``
+    for integers and booleans (1/0), ``%.12g`` for floats.  No field needs
+    quoting, so these are the bytes csv.writer gives."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_template % row for row in rows)
 
 
 def _json_ready(obj):
@@ -590,15 +591,45 @@ class ScanResult:
     summary: dict
 
 
+#: Samples one meter call of the scan holds at most; longer scans go in
+#: blocks of whole points, so memory does not grow with points x samples.
+SCAN_BLOCK_SAMPLES = 1 << 16
+
+
+def _meter_pairs(
+    meter: MeterConfig,
+    wavelengths_nm: Sequence[float],
+    wavelength_field: str,
+    intensities: Sequence[float] | None = None,
+    intensity_field: str | None = None,
+) -> tuple[tuple[int, int, float], ...]:
+    """The line set's pair table.  A set the meter cannot see -- no pair
+    within the acceptance, or (given intensities) none with light in both
+    lines -- is a config error naming the field that emptied it."""
+    pairs = pair_table(wavelengths_nm, meter)
+    if not pairs:
+        raise ConfigError(
+            f"{wavelength_field}: no line pair within the meter acceptance "
+            f"({acceptance_bandwidth(meter.stack):.6g} nm)"
+        )
+    if intensities is not None and not any(intensities[i] * intensities[j] > 0.0 for i, j, _ in pairs):
+        raise ConfigError(f"{intensity_field}: no line pair within the meter acceptance carries light")
+    return pairs
+
+
+def _two_laser_pairs(cfg: ScenarioConfig) -> tuple[tuple[int, int, float], ...]:
+    src = cfg.two_laser
+    lines = sorted([(src.lambda1_nm, src.intensity1), (src.lambda2_nm, src.intensity2)])
+    dark = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
+    return _meter_pairs(cfg.meter, [w for w, _ in lines], "source.lambda2_nm", [i for _, i in lines], dark)
+
+
 def predicted_scan_line(cfg: ScenarioConfig) -> tuple[float, float]:
     """Analytic (slope, intercept) of readout vs 1 - DOP^2 for the meter and
     two-laser source in the config, valid for the noiseless model."""
     src = cfg.two_laser
     meter = cfg.meter
-    separation = abs(src.lambda1_nm - src.lambda2_nm)
-    c = 0.0
-    if separation < meter.min_separation_nm:
-        c = degenerate_contamination(src.lambda1_nm, src.lambda2_nm, meter.stack)
+    ((_, _, c),) = _two_laser_pairs(cfg)
     k = pair_normalization((src.intensity1, src.intensity2))
     slope = meter.gain * meter.visibility * (1.0 - c) / (4.0 * k)
     intercept = meter.dark_offset + meter.gain * (
@@ -617,68 +648,74 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
+    """All scan points in one array pass, in record order (circle, then base
+    state, then level): the same records, bit for bit, as building one
+    two-laser beam per point and reading it alone."""
     if cfg.scenario != "fig2_scan":
         raise ConfigError(f"scenario: expected fig2_scan, got {cfg.scenario}")
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
-    noisy = meter.noise_sigma_rel > 0.0
+    pairs = _two_laser_pairs(cfg)
 
-    records: list[ScanRecord] = []
-    for circle in scan.circles:
-        for base_idx in range(scan.base_count):
-            base_angle = base_idx * scan.base_step_deg
-            for two_phi in scan.two_phi_deg:
-                m1, m2 = great_circle_pair(circle, base_angle, two_phi)
-                src = two_laser_source(
-                    src_cfg.lambda1_nm, src_cfg.lambda2_nm,
-                    src_cfg.intensity1, src_cfg.intensity2, m1, m2,
-                )
-                trace = PolarizationTrace.static(src, scan.samples_per_point, cfg.dt_s)
-                readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
-                true_dop = source_dop(src)
-                records.append(
-                    ScanRecord(
-                        circle=circle,
-                        base_idx=base_idx,
-                        two_phi_deg=float(two_phi),
-                        true_dop=true_dop,
-                        one_minus_dop2=1.0 - true_dop**2,
-                        readout_mean=float(readout.mean()),
-                        readout_std=float(readout.std()),
-                    )
-                )
+    circle, base_idx, two_phi = (
+        a.ravel()
+        for a in np.meshgrid(scan.circles, np.arange(scan.base_count), scan.two_phi_deg, indexing="ij")
+    )
+    base_angle = base_idx * scan.base_step_deg
+    m1 = great_circle_vectors(circle, base_angle)
+    m2 = great_circle_vectors(circle, base_angle + two_phi)
+    check_pure_states(np.stack([m1, m2]), "two_laser_source")
+    # lines in wavelength order, as two_laser_source sorts them
+    lines = [(src_cfg.lambda1_nm, src_cfg.intensity1, m1), (src_cfg.lambda2_nm, src_cfg.intensity2, m2)]
+    lines.sort(key=lambda line: line[0])
+    wavelengths, intensities = [w for w, _, _ in lines], [i for _, i, _ in lines]
+    mvecs = np.stack([m for _, _, m in lines], axis=1)
 
-    x = np.array([r.one_minus_dop2 for r in records])
-    y = np.array([r.readout_mean for r in records])
-    slope, intercept, r_squared = _affine_fit(x, y)
+    true_dop = mixture_dop_many(mvecs, intensities).tolist()
+    # Python float ``**2`` (libm pow), which differs from x * x in the last bit for some x
+    one_minus_dop2 = [1.0 - d**2 for d in true_dop]
+    beams = poincare_round_trip(mvecs)
+    n = scan.samples_per_point
+    block = max(1, SCAN_BLOCK_SAMPLES // n)
+    means, stds = [], []
+    for lo in range(0, len(beams), block):
+        trace = PolarizationTrace.held(cfg.dt_s, wavelengths, intensities, beams[lo:lo + block], n)
+        readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, pairs)
+        means.append(readout.mean(axis=1))
+        stds.append(readout.std(axis=1))
+    readout_mean, readout_std = np.concatenate(means), np.concatenate(stds)
+
+    records = [
+        ScanRecord(*row)
+        for row in zip(
+            circle.tolist(), base_idx.tolist(), two_phi.tolist(), true_dop, one_minus_dop2,
+            readout_mean.tolist(), readout_std.tolist(),
+        )
+    ]
+    x = np.array(one_minus_dop2)
+    slope, intercept, r_squared = _affine_fit(x, readout_mean)
     predicted_slope, predicted_intercept = predicted_scan_line(cfg)
 
     # per-level spread across the (circles x base states) repeats
     per_level = []
-    richest = max(r.one_minus_dop2 for r in records)
-    global_ref = float(
-        np.mean([r.readout_mean for r in records if r.one_minus_dop2 == richest])
-    )
-    for two_phi in scan.two_phi_deg:
-        level = [r for r in records if r.two_phi_deg == float(two_phi)]
-        values = np.array([r.readout_mean for r in level])
+    richest = x == x.max()
+    global_ref = float(np.mean(readout_mean[richest]))
+    for level_deg in scan.two_phi_deg:
+        at_level = two_phi == float(level_deg)
+        values = readout_mean[at_level]
         if cfg.scan.normalization == "per_circle":
             normalized = []
-            for circle in scan.circles:
-                circle_records = [r for r in records if r.circle == circle]
-                ref = np.mean(
-                    [r.readout_mean for r in circle_records if r.one_minus_dop2 == richest]
-                )
-                normalized.extend(
-                    r.readout_mean / ref for r in level if r.circle == circle and ref > 0
-                )
-            norm_mean = float(np.mean(normalized)) if normalized else math.nan
+            for c in scan.circles:
+                ref = np.mean(readout_mean[(circle == c) & richest])
+                if ref > 0:
+                    normalized.append(readout_mean[at_level & (circle == c)] / ref)
+            norm_mean = float(np.mean(np.concatenate(normalized))) if normalized else math.nan
         else:
             norm_mean = float(values.mean() / global_ref) if global_ref > 0 else math.nan
         per_level.append(
             {
-                "two_phi_deg": float(two_phi),
-                "true_dop": level[0].true_dop,
+                "two_phi_deg": float(level_deg),
+                "true_dop": true_dop[int(np.argmax(at_level))],
                 "readout_mean": float(values.mean()),
                 "readout_std": float(values.std(ddof=1)) if len(values) > 1 else 0.0,
                 "normalized_mean": norm_mean,
@@ -705,12 +742,14 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
 SCAN_CSV_HEADER = (
     "circle", "base_idx", "two_phi_deg", "true_dop", "one_minus_dop2", "readout_mean", "readout_std",
 )
+SCAN_CSV_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
 def write_scan_outputs(result: ScanResult, records_csv: str | Path, summary_json: str | Path) -> None:
     _write_csv(
         records_csv,
         SCAN_CSV_HEADER,
+        SCAN_CSV_ROW,
         (
             (r.circle, r.base_idx, r.two_phi_deg, r.true_dop, r.one_minus_dop2, r.readout_mean, r.readout_std)
             for r in result.records
@@ -736,10 +775,11 @@ class ShakeResult:
     records: list[ShakeRecord]
     reference_meter_dop: float
     summary: dict
-    #: fiber trajectory, one row per sample: times_s (n,), axes (n, 3), retardances (n,)
-    times_s: np.ndarray
-    axes: np.ndarray
-    retardances: np.ndarray
+    #: fiber trajectory, one row per sample: times_s (n,), axes (n, 3),
+    #: retardances (n,); kept only when the config asks for a trajectory CSV
+    times_s: np.ndarray | None = None
+    axes: np.ndarray | None = None
+    retardances: np.ndarray | None = None
 
 
 def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -771,6 +811,9 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
         retardance_mean_rad=chan.retardance_mean_rad,
     )
     fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
+    wavelengths, intensities = src.wavelengths_nm(), src.intensities()
+    pairs = _two_laser_pairs(cfg)
+    keep_trajectory = cfg.output.trajectory_csv is not None
 
     n = int(round(shake.window_s / cfg.dt_s))
     meter_noisy = meter.noise_sigma_rel > 0.0
@@ -794,13 +837,12 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
             reference_m1 = line1[0]
         if shaken:
             deflections.append(_sphere_angles(line1, reference_m1))
-        axes_path.append(axes)
-        retardance_path.append(retardances)
+        if keep_trajectory:
+            axes_path.append(axes)
+            retardance_path.append(retardances)
 
-        readout = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None)
-        estimate = invert_meter_readout(
-            np.array([readout.mean()]), meter, trace.wavelengths, src.intensities()
-        )
+        readout = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs)
+        estimate = invert_meter_readout(np.array([readout.mean()]), meter, wavelengths, intensities, pairs)
         pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None)
         records.append(
             ShakeRecord(
@@ -836,6 +878,8 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
         "scrambling_mean_deflection_rad": float(np.mean(deflection)) if deflection.size else 0.0,
         "scrambling_max_deflection_rad": float(np.max(deflection)) if deflection.size else 0.0,
     }
+    if not keep_trajectory:
+        return ShakeResult(records, reference, summary)
     return ShakeResult(
         records,
         reference,
@@ -850,6 +894,7 @@ SHAKE_CSV_HEADER = (
     "window", "t_start_s", "t_end_s", "shaken",
     "meter_readout_mean", "meter_dop", "meter_clipped", "polarimeter_dop",
 )
+SHAKE_CSV_ROW = "%d,%.12g,%.12g,%d,%.12g,%.12g,%d,%.12g\r\n"
 
 
 def write_shake_outputs(
@@ -858,9 +903,12 @@ def write_shake_outputs(
     summary_json: str | Path,
     trajectory_csv: str | Path | None = None,
 ) -> None:
+    if trajectory_csv is not None and result.axes is None:
+        raise InvariantError("write_shake_outputs: the run kept no trajectory (output.trajectory_csv unset)")
     _write_csv(
         records_csv,
         SHAKE_CSV_HEADER,
+        SHAKE_CSV_ROW,
         (
             (
                 r.window, r.t_start_s, r.t_end_s, r.shaken,
@@ -890,16 +938,19 @@ class PmdResult:
 
 
 def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
+    """All DGD steps in one array pass: the same records, bit for bit, as
+    applying one PmdElement per step and reading each beam alone."""
     if cfg.scenario != "pmd_sweep":
         raise ConfigError(f"scenario: expected pmd_sweep, got {cfg.scenario}")
     carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
-    noisy = meter.noise_sigma_rel > 0.0
 
     m0 = PoincareVector.from_array(carrier.poincare)
     src0 = modulated_carrier_source(
         carrier.carrier_nm, carrier.bitrate_hz, m0, m0, m0, carrier.intensity_split
     )
+    wavelengths, intensities = src0.wavelengths_nm(), src0.intensities()
+    pairs = _meter_pairs(meter, wavelengths, "source.bitrate_hz", intensities, "source.intensity_split")
     axis = np.asarray(pmd.axis, dtype=float)
     axis_norm = np.linalg.norm(axis)
     if axis_norm == 0.0:
@@ -907,21 +958,24 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
     alignment = abs(float(axis @ m0.as_array()) / (axis_norm * m0.norm()))
     degenerate = alignment > 1.0 - 1e-9
 
-    records: list[PmdRecord] = []
-    for dgd in np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps):
-        element = PmdElement(float(dgd), tuple(axis / axis_norm))
-        src = apply_pmd(src0, element, carrier.carrier_nm)
-        trace = PolarizationTrace.static(src, 1, cfg.dt_s)
-        readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
-        estimate = invert_meter_readout(readout, meter, trace.wavelengths, src.intensities())
-        records.append(
-            PmdRecord(
-                dgd_s=float(dgd),
-                source_dop=source_dop(src),
-                meter_dop=float(estimate.dop[0]),
-                meter_clipped=bool(estimate.clipped[0]),
-            )
-        )
+    dgd = np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps)
+    if not np.all(np.isfinite(dgd) & (dgd >= 0.0)):
+        raise InvariantError("PmdElement: dgd_s must be >= 0")
+    # each step's lines as channel.apply_pmd turns them; zero DGD leaves the
+    # source as built from m0
+    angles = dgd[:, None] * pmd_turns(wavelengths, carrier.carrier_nm)
+    axes = np.broadcast_to(axis / axis_norm, (len(dgd), 3))
+    rotated = rotate_poincare_many([line.poincare() for line in src0.lines], axes, angles)
+    mvecs = np.where((dgd == 0.0)[:, None, None], m0.as_array(), rotated)
+
+    source_dop = mixture_dop_many(mvecs, intensities)
+    trace = PolarizationTrace.held(cfg.dt_s, wavelengths, intensities, poincare_round_trip(mvecs), 1)
+    readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, pairs)
+    estimate = invert_meter_readout(readout[:, 0], meter, wavelengths, intensities, pairs)
+    records = [
+        PmdRecord(*row)
+        for row in zip(dgd.tolist(), source_dop.tolist(), estimate.dop.tolist(), estimate.clipped.tolist())
+    ]
 
     summary = {
         "scenario": cfg.scenario,
@@ -929,20 +983,22 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
         "degenerate_geometry": degenerate,
         "carrier_nm": carrier.carrier_nm,
         "bitrate_hz": carrier.bitrate_hz,
-        "min_source_dop": min(r.source_dop for r in records),
-        "min_meter_dop": min(r.meter_dop for r in records),
-        "dgd_at_min_source_dop": min(records, key=lambda r: r.source_dop).dgd_s,
+        "min_source_dop": float(source_dop.min()),
+        "min_meter_dop": float(estimate.dop.min()),
+        "dgd_at_min_source_dop": float(dgd[np.argmin(source_dop)]),
     }
     return PmdResult(records, degenerate, summary)
 
 
 PMD_CSV_HEADER = ("dgd_s", "source_dop", "meter_dop", "meter_clipped")
+PMD_CSV_ROW = "%.12g,%.12g,%.12g,%d\r\n"
 
 
 def write_pmd_outputs(result: PmdResult, records_csv: str | Path, summary_json: str | Path) -> None:
     _write_csv(
         records_csv,
         PMD_CSV_HEADER,
+        PMD_CSV_ROW,
         ((r.dgd_s, r.source_dop, r.meter_dop, r.meter_clipped) for r in result.records),
     )
     _write_json(summary_json, result.summary)
@@ -956,6 +1012,9 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     src_cfg, meter = cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
+    # the references are balanced whatever the configured intensities
+    pairs = _meter_pairs(meter, sorted([src_cfg.lambda1_nm, src_cfg.lambda2_nm]), "source.lambda2_nm")
+    ((_, _, contamination),) = pairs
 
     m_base, m_anti = great_circle_pair(0, 0.0, 180.0)
     references = {
@@ -965,12 +1024,9 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     means = {}
     for label, src in references.items():
         trace = PolarizationTrace.static(src, cfg.calibrate.samples, cfg.dt_s)
-        means[label] = float(singlet_meter_raw(trace, meter, rng_meter if noisy else None).mean())
+        readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None, pairs=pairs)
+        means[label] = float(readout.mean())
 
-    separation = abs(src_cfg.lambda1_nm - src_cfg.lambda2_nm)
-    contamination = 0.0
-    if separation < meter.min_separation_nm:
-        contamination = degenerate_contamination(src_cfg.lambda1_nm, src_cfg.lambda2_nm, meter.stack)
     gain, dark = calibrate_from_references(
         means["dop1"], means["dop0"], meter.visibility, contamination
     )

@@ -39,10 +39,8 @@ leaves the interference residual (1 - V)/2 * gain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -140,10 +138,13 @@ class PolarizationTrace:
     """Uniformly sampled beam with a fixed line structure, as arrays.
 
     ``wavelengths`` is (L,), ``intensities`` (n, L) and ``poincare`` the
-    lines' Poincare vectors (n, L, 3).  Construction checks the shapes; the
-    values must meet the per-line invariants (finite, intensities >= 0,
+    lines' Poincare vectors (n, L, 3).  A batch of P beams of one line set
+    and one length puts a leading axis on both, (P, n, L) and (P, n, L, 3);
+    the meter reads a batch in one call, each beam on its own.  ``len`` is
+    the number of samples n.  Construction checks the shapes; the values
+    must meet the per-line invariants (finite, intensities >= 0,
     |M| <= 1 + 1e-12), which ``static`` and ``from_snapshots`` inherit from
-    validated beams and ``channel.fiber_trace`` checks in bulk.
+    validated beams and the harness and ``channel.fiber_trace`` check in bulk.
     """
 
     dt_s: float
@@ -155,15 +156,15 @@ class PolarizationTrace:
         if not self.dt_s > 0.0:
             raise InvariantError("PolarizationTrace: dt_s must be > 0")
         n_lines = len(self.wavelengths)
-        if self.intensities.ndim != 2 or self.intensities.shape[1] != n_lines or n_lines < 1:
-            raise InvariantError("PolarizationTrace: intensities must be (samples, lines)")
+        if self.intensities.ndim not in (2, 3) or self.intensities.shape[-1] != n_lines or n_lines < 1:
+            raise InvariantError("PolarizationTrace: intensities must be ([beams,] samples, lines)")
         if self.poincare.shape != self.intensities.shape + (3,):
-            raise InvariantError("PolarizationTrace: poincare must be (samples, lines, 3)")
-        if len(self.intensities) < 1:
+            raise InvariantError("PolarizationTrace: poincare must be ([beams,] samples, lines, 3)")
+        if self.intensities.shape[-2] < 1:
             raise InvariantError("PolarizationTrace: need at least one sample")
 
     def __len__(self) -> int:
-        return len(self.intensities)
+        return self.intensities.shape[-2]
 
     @property
     def duration_s(self) -> float:
@@ -178,8 +179,25 @@ class PolarizationTrace:
         return cls(
             dt_s,
             np.array(src.wavelengths_nm(), dtype=float),
-            _held(np.array(src.intensities(), dtype=float), n_samples),
-            _held(mvecs, n_samples),
+            np.broadcast_to(np.array(src.intensities(), dtype=float), (n_samples, len(mvecs))),
+            np.broadcast_to(mvecs, (n_samples,) + mvecs.shape),
+        )
+
+    @classmethod
+    def held(
+        cls, dt_s: float, wavelengths_nm, intensities, poincare: np.ndarray, n_samples: int
+    ) -> "PolarizationTrace":
+        """A batch of P beams of one line set, each held for ``n_samples``
+        samples (broadcast, not copied): ``intensities`` (L,) are shared,
+        ``poincare`` (P, L, 3) holds each beam's line vectors."""
+        if n_samples < 1:
+            raise InvariantError("PolarizationTrace.held: n_samples must be >= 1")
+        n_beams, n_lines = poincare.shape[:2]
+        return cls(
+            dt_s,
+            np.asarray(wavelengths_nm, dtype=float),
+            np.broadcast_to(np.asarray(intensities, dtype=float), (n_beams, n_samples, n_lines)),
+            np.broadcast_to(poincare[:, None], (n_beams, n_samples, n_lines, 3)),
         )
 
     @classmethod
@@ -203,28 +221,19 @@ class PolarizationTrace:
         )
 
 
-def _held(row: np.ndarray, n: int) -> np.ndarray:
-    """``row`` repeated n times along a new first axis, as a read-only view.
-
-    The broadcast np.broadcast_to gives, at a quarter of its fixed cost, which
-    counts for the one-sample traces built once per scan point or DGD step.
-    """
-    view = np.ndarray((n,) + row.shape, row.dtype, row, strides=(0,) + row.strides)
-    view.flags.writeable = False
-    return view
-
-
-def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Causal moving average over up to `window` samples ending at each index."""
+def _trailing_mean(values: np.ndarray, window: int, axis: int) -> np.ndarray:
+    """Causal moving average over up to `window` samples ending at each index
+    of the sample axis `axis`; no window reaches across another axis."""
     if window <= 1:
         return values
-    csum = np.cumsum(values, axis=0, dtype=float)
+    samples = np.moveaxis(values, axis, 0)
+    csum = np.cumsum(samples, axis=0, dtype=float)
     out = np.empty_like(csum)
     out[:window] = csum[:window]
     out[window:] = csum[window:] - csum[:-window]
-    counts = np.minimum(np.arange(1, len(values) + 1), window)
-    shape = (len(values),) + (1,) * (values.ndim - 1)
-    return out / counts.reshape(shape)
+    counts = np.minimum(np.arange(1, len(samples) + 1), window)
+    shape = (len(samples),) + (1,) * (samples.ndim - 1)
+    return np.moveaxis(out / counts.reshape(shape), 0, axis)
 
 
 def two_stage_projector(stage_phase_rad: float = 0.0) -> TwoPhotonOperator:
@@ -249,14 +258,14 @@ def pair_projection_probability(ma: np.ndarray, mb: np.ndarray, stage_phase_rad:
     return diag - 0.25 * np.real(phase * cross)
 
 
-def _pair_table(
-    wavelengths: np.ndarray, cfg: MeterConfig
-) -> list[tuple[int, int, float]]:
-    """Participating line pairs (i, j, contamination).
+def pair_table(wavelengths_nm: Sequence[float], cfg: MeterConfig) -> tuple[tuple[int, int, float], ...]:
+    """Participating line pairs (i, j, contamination) of a line set.
 
     A pair converts only within the phase-matching acceptance; the degenerate
-    contamination applies below the minimum separation.
+    contamination applies below the minimum separation.  Built once per line
+    set, the table serves the forward model and the inversion alike.
     """
+    wavelengths = np.asarray(wavelengths_nm, dtype=float)
     acceptance = acceptance_bandwidth(cfg.stack)
     pairs = []
     for i in range(len(wavelengths)):
@@ -268,49 +277,57 @@ def _pair_table(
             if separation < cfg.min_separation_nm:
                 c = degenerate_contamination(wavelengths[i], wavelengths[j], cfg.stack)
             pairs.append((i, j, c))
-    return pairs
+    return tuple(pairs)
 
 
 def singlet_meter_raw(
-    trace: PolarizationTrace, cfg: MeterConfig, rng: np.random.Generator | None = None
+    trace: PolarizationTrace,
+    cfg: MeterConfig,
+    rng: np.random.Generator | None = None,
+    pairs: Sequence[tuple[int, int, float]] | None = None,
 ) -> np.ndarray:
-    """Readout time series of the pair-projection meter.
+    """Readout time series of the pair-projection meter: (n,), or (P, n)
+    for a batch of P beams.
 
     Per sample: pre-average each line's state over the response-time window,
     form the intensity^2-weighted pair projection probability over all
     participating pairs, then apply the affine imperfection model and
     multiplicative noise.  Samples with no convertible pair fall to the dark
-    level.
+    level.  A batch reads as its beams one after another would: the response
+    window never reaches across beams, and the noise draws follow beam order.
+    ``pairs`` is the line set's ``pair_table``, built here when not given.
     """
     if len(trace.wavelengths) < 2:
         raise InvariantError("singlet_meter_raw: nothing to upconvert in a single-line beam")
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("singlet_meter_raw: noisy config needs an explicit rng")
+    if pairs is None:
+        pairs = pair_table(trace.wavelengths, cfg)
 
     intensities, mvecs = trace.intensities, trace.poincare
     window = max(1, int(round(cfg.response_time_s / trace.dt_s)))
-    s0 = _trailing_mean(intensities, window)
-    svec = _trailing_mean(intensities[:, :, None] * mvecs, window)
+    s0 = _trailing_mean(intensities, window, axis=-2)
+    svec = _trailing_mean(intensities[..., None] * mvecs, window, axis=-3)
     safe_s0 = np.where(s0 > 0.0, s0, 1.0)
-    m_avg = np.where(s0[:, :, None] > 0.0, svec / safe_s0[:, :, None], 0.0)
+    m_avg = np.where(s0[..., None] > 0.0, svec / safe_s0[..., None], 0.0)
 
-    n = len(trace)
-    weighted = np.zeros(n)
-    weights = np.zeros(n)
-    for i, j, c in _pair_table(trace.wavelengths, cfg):
-        w = s0[:, i] * s0[:, j]
-        p = pair_projection_probability(m_avg[:, i, :], m_avg[:, j, :], cfg.stage_phase_rad)
+    shape = s0.shape[:-1]
+    weighted = np.zeros(shape)
+    weights = np.zeros(shape)
+    for i, j, c in pairs:
+        w = s0[..., i] * s0[..., j]
+        p = pair_projection_probability(m_avg[..., i, :], m_avg[..., j, :], cfg.stage_phase_rad)
         weighted += w * ((1.0 - c) * p + 0.25 * c)
         weights += w
 
-    p_eff = np.divide(weighted, weights, out=np.zeros(n), where=weights > 0.0)
+    p_eff = np.divide(weighted, weights, out=np.zeros(shape), where=weights > 0.0)
     readout = np.where(
         weights > 0.0,
         cfg.gain * ((1.0 - cfg.visibility) / 2.0 + cfg.visibility * p_eff) + cfg.dark_offset,
         cfg.dark_offset,
     )
     if cfg.noise_sigma_rel > 0.0:
-        readout = readout * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(n))
+        readout = readout * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(shape))
     return readout
 
 
@@ -337,19 +354,21 @@ def invert_meter_readout(
     cfg: MeterConfig,
     wavelengths_nm: Sequence[float],
     intensities: Sequence[float],
+    pairs: Sequence[tuple[int, int, float]] | None = None,
 ) -> MeterDopEstimate:
     """Invert the imperfection model to a DOP estimate.
 
     Exact on two-line beams; for more lines it assumes pure lines, uniform
     contamination and full pair participation.  Readings below the estimable
     floor (for instance, at or under the dark level) clamp to DOP = 1 and are
-    flagged rather than raised.
+    flagged rather than raised.  ``pairs`` is the line set's ``pair_table``,
+    built here when not given.
     """
     if cfg.visibility <= 0.0:
         raise DopsimError("invert_meter_readout: zero visibility carries no signal")
-    wavelengths = np.asarray(wavelengths_nm, dtype=float)
     ivals = np.asarray(intensities, dtype=float)
-    pairs = _pair_table(wavelengths, cfg)
+    if pairs is None:
+        pairs = pair_table(wavelengths_nm, cfg)
     if not pairs:
         raise DopsimError("invert_meter_readout: no line pair within the acceptance bandwidth")
     pair_weights = np.array([ivals[i] * ivals[j] for i, j, _ in pairs])
@@ -372,7 +391,9 @@ def invert_meter_readout(
 def singlet_meter_dop(
     trace: PolarizationTrace, cfg: MeterConfig, rng: np.random.Generator | None = None
 ) -> MeterDopEstimate:
-    """Per-sample DOP estimate: forward readout plus model inversion."""
+    """Per-sample DOP estimate of one beam: forward readout plus model inversion."""
+    if trace.intensities.ndim != 2:
+        raise InvariantError("singlet_meter_dop: reads one beam, not a batch")
     readout = singlet_meter_raw(trace, cfg, rng)
     return invert_meter_readout(readout, cfg, trace.wavelengths, trace.intensities[0])
 
@@ -385,6 +406,8 @@ def polarimeter_dop(
     The four averaged components each receive independent relative Gaussian
     noise before the |S123|/S0 division.
     """
+    if trace.intensities.ndim != 2:
+        raise InvariantError("polarimeter_dop: reads one beam, not a batch")
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("polarimeter_dop: noisy config needs an explicit rng")
     window = int(round(cfg.integration_time_s / trace.dt_s))
@@ -437,17 +460,6 @@ def mc_pair_singlet(
     estimate = hits / draws
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / draws)
     return PairSamplingResult(estimate=estimate, stderr=stderr, draws=draws)
-
-
-def write_series_csv(path: str | Path, times_s: Sequence[float], values: Sequence[float]) -> None:
-    """Dump a readout or DOP series as CSV rows: time_s, value."""
-    if len(times_s) != len(values):
-        raise InvariantError("write_series_csv: times and values must align")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "value"])
-        for t, v in zip(times_s, values):
-            writer.writerow([f"{t:.12g}", f"{float(v):.12g}"])
 
 
 def calibrate_from_references(

@@ -351,13 +351,11 @@ def rotate_poincare(m: PoincareVector, axis, angle: float) -> PoincareVector:
 def rotate_poincare_many(states: Sequence[PoincareVector], axes, angles) -> np.ndarray:
     """Rotate each of L states by each of n (axis, angle) samples: (n, L, 3).
 
-    Vectorised form of ``rotate_poincare`` followed by the density round trip
-    ``poincare_from_density(density_from_poincare(.))``, equal to it bit for
-    bit: the same operation order, axis renormalisation and |M| rescale, with
-    M read back from the density entries (M3 as 0.5 (1 + m3) - 0.5 (1 - m3)).
-    ``axes`` is (n, 3), each within 1e-9 of unit norm; ``angles`` is (n, L).
-    The result meets the PoincareVector invariants (finite, |M| <= 1 + 1e-12),
-    checked in bulk.
+    Vectorised ``rotate_poincare``, equal to it bit for bit: the same
+    operation order, axis renormalisation and |M| rescale.  ``axes`` is
+    (n, 3), each within 1e-9 of unit norm; ``angles`` is (n, L).  The result
+    meets the PoincareVector invariants (finite, |M| <= 1 + 1e-12), checked
+    in bulk.
     """
     axes = np.asarray(axes, dtype=float)
     a1, a2, a3 = axes[:, 0], axes[:, 1], axes[:, 2]
@@ -388,10 +386,84 @@ def rotate_poincare_many(states: Sequence[PoincareVector], axes, angles) -> np.n
     # NaN fails the comparison, so this also rejects non-finite results
     if not np.max(r1 * r1 + r2 * r2 + r3 * r3) <= (1.0 + ATOL_EXACT) ** 2:
         raise InvariantError("rotate_poincare_many: a rotated vector is non-finite or has |M| > 1")
-    # density_from_poincare then poincare_from_density, operation for operation
-    return np.stack(
-        [2.0 * (0.5 * r1), -2.0 * (-0.5 * r2), 0.5 * (1.0 + r3) - 0.5 * (1.0 - r3)], axis=-1
-    )
+    return np.stack([r1, r2, r3], axis=-1)
+
+
+def poincare_round_trip(m) -> np.ndarray:
+    """``poincare_from_density(density_from_poincare(M))`` for every M along
+    the last axis of m (..., 3), operation for operation: M1 and M2 come back
+    as they went in, M3 as 0.5 (1 + m3) - 0.5 (1 - m3)."""
+    m = np.asarray(m, dtype=float)
+    m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
+    return np.stack([2.0 * (0.5 * m1), -2.0 * (-0.5 * m2), 0.5 * (1.0 + m3) - 0.5 * (1.0 - m3)], axis=-1)
+
+
+def check_pure_states(m, name: str) -> None:
+    """The invariants of a laser line's Poincare vector, for every M along
+    the last axis of m (..., 3), in bulk: finite, |M| <= 1 + 1e-12 (as
+    PoincareVector) and |M| within 1e-9 of 1 (pure)."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise InvariantError(f"{name}: non-finite component")
+    norm = np.sqrt(np.sum(m * m, axis=-1))
+    if np.any(norm > 1.0 + ATOL_EXACT):
+        raise InvariantError(f"{name}: |M| = {norm.max():.17g} exceeds 1 (unphysical state)")
+    off = norm[np.abs(norm - 1.0) > ATOL_INPUT]
+    if off.size:
+        raise InvariantError(f"{name}: |M| = {off[0]:.12g}, laser lines must be pure (|M| = 1)")
+
+
+def _check_densities(hh, vv, re, im, name: str) -> None:
+    """DensityMatrix invariants of the Hermitian matrices [[hh, re - i im],
+    [re + i im, vv]], in bulk: finite, unit trace, no negative eigenvalue."""
+    s = np.sqrt((hh - vv) ** 2 + 4.0 * (re * re + im * im))
+    tr = hh + vv
+    if not np.all(np.isfinite(s) & np.isfinite(tr)):
+        raise InvariantError(f"{name}: non-finite density matrix entries")
+    if np.any(np.abs(tr - 1.0) > ATOL_EXACT):
+        raise InvariantError(f"{name}: density matrix trace departs from 1")
+    if np.any((tr - s) / 2.0 < -ATOL_EXACT):
+        raise InvariantError(f"{name}: negative eigenvalue (not a state)")
+
+
+def mixture_dop_many(mvecs, weights) -> np.ndarray:
+    """DOP of the weighted mixture of L line states for each of P beams: (P,).
+
+    ``mvecs`` (P, L, 3) holds the Poincare vectors the lines' density
+    matrices were built from, ``weights`` (L,) the line intensities.  Row p
+    equals ``dop(poincare_from_density(mix([density_from_poincare(M) for M in
+    mvecs[p]], weights)))`` bit for bit: the same density entries, normalised
+    weights and accumulation order, and |M| through ``**2`` as
+    ``PoincareVector.norm``.  The DensityMatrix invariants of every line
+    state and every mixture and the PoincareVector invariants of the result
+    are checked in bulk.
+    """
+    mvecs = np.asarray(mvecs, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not len(w) or mvecs.ndim != 3 or mvecs.shape[1:] != (len(w), 3):
+        raise InvariantError("mixture_dop_many: need (P, L, 3) states and L weights (at least one)")
+    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        raise InvariantError("mix: weights must be finite and >= 0")
+    total = float(w.sum())
+    if total <= 0.0:
+        raise InvariantError("mix: at least one weight must be > 0")
+    # density_from_poincare entries of each line, mixed in line order as mix() does
+    hh = vv = re = im = 0.0
+    for line, wi in enumerate(w):
+        m1, m2, m3 = mvecs[:, line, 0], mvecs[:, line, 1], mvecs[:, line, 2]
+        line_hh, line_vv, line_re, line_im = 0.5 * (1.0 + m3), 0.5 * (1.0 - m3), 0.5 * m1, -0.5 * m2
+        _check_densities(line_hh, line_vv, line_re, line_im, "density_from_poincare")
+        share = wi / total
+        hh = hh + share * line_hh
+        vv = vv + share * line_vv
+        re = re + share * line_re
+        im = im + share * line_im
+    _check_densities(hh, vv, re, im, "mix")
+    mixed = np.stack([2.0 * re, -2.0 * im, hh - vv], axis=-1)
+    norms = np.array([math.sqrt(m1**2 + m2**2 + m3**2) for m1, m2, m3 in mixed.tolist()])
+    if not np.all(norms <= 1.0 + ATOL_EXACT):
+        raise InvariantError("mixture_dop_many: a mixture is non-finite or has |M| > 1")
+    return np.minimum(norms, 1.0)
 
 
 def rotate_density(rho: DensityMatrix, axis, angle: float) -> DensityMatrix:

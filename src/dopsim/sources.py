@@ -190,43 +190,24 @@ def great_circle_pair(
     circle_index: int, base_angle_deg: float, separation_deg: float
 ) -> tuple[PoincareVector, PoincareVector]:
     """Two unit vectors on the same great circle separated by ``separation_deg``."""
-    ia, ib = GREAT_CIRCLE_PLANES[circle_index]
-    pair = []
-    for angle_deg in (base_angle_deg, base_angle_deg + separation_deg):
-        angle = math.radians(angle_deg)
-        v = np.zeros(3)
-        v[ia] = math.cos(angle)
-        v[ib] = math.sin(angle)
-        pair.append(PoincareVector.from_array(v))
-    return pair[0], pair[1]
+    v = great_circle_vectors([circle_index] * 2, [base_angle_deg, base_angle_deg + separation_deg])
+    return PoincareVector.from_array(v[0]), PoincareVector.from_array(v[1])
 
 
-def source_to_json(src: SourceSpec) -> dict:
-    """JSON-ready dict; line states stored as Poincare vectors."""
-    return {
-        "lines": [
-            {
-                "wavelength_nm": line.wavelength_nm,
-                "intensity": line.intensity,
-                "poincare": [m for m in line.poincare().as_array().tolist()],
-            }
-            for line in src.lines
-        ]
-    }
+def great_circle_vectors(circle_indices, angles_deg) -> np.ndarray:
+    """Point k lies ``angles_deg[k]`` of arc along great circle
+    ``circle_indices[k]`` from the plane's first coordinate axis: (P, 3).
 
-
-def source_from_json(doc: dict) -> SourceSpec:
-    try:
-        raw_lines = doc["lines"]
-    except (TypeError, KeyError):
-        raise InvariantError("source_from_json: document must contain a 'lines' list")
-    lines = []
-    for i, entry in enumerate(raw_lines):
-        try:
-            wavelength = float(entry["wavelength_nm"])
-            intensity = float(entry["intensity"])
-            m = PoincareVector.from_array(entry["poincare"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise InvariantError(f"source_from_json: lines[{i}]: {exc}")
-        lines.append(SpectralLine(wavelength, intensity, density_from_poincare(m)))
-    return SourceSpec(tuple(lines))
+    The vectors are unvalidated arrays; ``polcore.check_pure_states``
+    checks them in bulk.
+    """
+    circles = np.asarray(circle_indices, dtype=int)
+    if not np.all(np.isin(circles, (0, 1, 2))):
+        raise InvariantError("great_circle_vectors: circle indices must be 0, 1 or 2")
+    angles = np.asarray(angles_deg, dtype=float) * (math.pi / 180.0)  # math.radians
+    planes = np.array(GREAT_CIRCLE_PLANES)[circles]
+    rows = np.arange(len(angles))
+    v = np.zeros((len(angles), 3))
+    v[rows, planes[:, 0]] = np.cos(angles)
+    v[rows, planes[:, 1]] = np.sin(angles)
+    return v

@@ -19,7 +19,9 @@ from dopsim.harness import (
     run_fig2_scan,
     run_fig3_shake,
     run_pmd_sweep,
+    write_shake_outputs,
 )
+from dopsim.polcore import InvariantError
 
 SMALL_SHAKE = {
     "scenario": "fig3_shake",
@@ -170,6 +172,16 @@ class TestShake:
         assert result.summary["scrambling_mean_deflection_rad"] > 0.3
         assert result.summary["scrambling_max_deflection_rad"] <= math.pi + 1e-12
 
+    def test_trajectory_kept_only_when_written(self, tmp_path):
+        result = run_fig3_shake(load_config(SMALL_SHAKE))
+        assert result.times_s is None and result.axes is None and result.retardances is None
+        with pytest.raises(InvariantError, match="trajectory"):
+            write_shake_outputs(result, tmp_path / "s.csv", tmp_path / "s.json", tmp_path / "t.csv")
+        doc = dict(SMALL_SHAKE, output={"trajectory_csv": "trajectory.csv"})
+        kept = run_fig3_shake(load_config(doc))
+        assert kept.records == result.records
+        assert kept.axes.shape == (2000, 3) and kept.retardances.shape == kept.times_s.shape == (2000,)
+
 
 class TestPmdSweep:
     def test_zero_dgd_full_dop_and_monotone_decay(self):
@@ -282,6 +294,32 @@ class TestCli:
         config = write_json(tmp_path / "shake.json", dict(SMALL_SHAKE, **{section: fields}))
         assert cli_main(["shake", "--config", config, "--out", str(tmp_path / "out")]) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,doc,message",
+        [
+            ("scan", {"scenario": "fig2_scan", "source": {"lambda2_nm": 1600}},
+             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
+            ("calibrate", {"scenario": "calibrate", "source": {"lambda2_nm": 1600}},
+             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
+            ("pmd", {"scenario": "pmd_sweep", "source": {"bitrate_hz": 2e13}},
+             "source.bitrate_hz: no line pair within the meter acceptance (4.5 nm)"),
+            ("shake", dict(SMALL_SHAKE, source={"lambda2_nm": 1600}),
+             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
+            ("scan", {"scenario": "fig2_scan", "source": {"intensity1": 0}},
+             "source.intensity1: no line pair within the meter acceptance carries light"),
+            ("pmd", {"scenario": "pmd_sweep", "source": {"intensity_split": [0, 1, 0]}},
+             "source.intensity_split: no line pair within the meter acceptance carries light"),
+        ],
+        ids=["scan_far_lines", "calibrate_far_lines", "pmd_far_sidebands", "shake_far_lines",
+             "scan_dark_line", "pmd_dark_sidebands"],
+    )
+    def test_empty_measurement_exits_2_naming_field(self, tmp_path, capsys, command, doc, message):
+        # the meter sees no line pair: flagged, not reported as a fit or a calibration
+        config = write_json(tmp_path / "empty.json", doc)
+        assert cli_main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     def test_pmd_and_calibrate_commands(self, tmp_path):
         pmd_path = write_json(tmp_path / "pmd.json", {"scenario": "pmd_sweep"})

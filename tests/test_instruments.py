@@ -113,6 +113,25 @@ class TestTwoStageProjector:
 
 
 class TestSingletMeterRaw:
+    def test_batch_reads_each_beam_alone(self):
+        # time-varying beams of one line set; a 4-sample response window and
+        # noise: each row equals that beam read alone, in beam order
+        rng = np.random.default_rng(61)
+        mvecs = np.array([random_poincare(rng).as_array() for _ in range(3 * 9 * 3)]).reshape(3, 9, 3, 3)
+        intensities = rng.uniform(0.0, 2.0, size=(3, 9, 3))
+        wavelengths = np.array([1550.0, 1551.0, 1553.0])
+        cfg = MeterConfig(visibility=0.9, noise_sigma_rel=0.1, response_time_s=4.0, min_separation_nm=1.5)
+        batch = singlet_meter_raw(
+            PolarizationTrace(1.0, wavelengths, intensities, mvecs), cfg, np.random.default_rng(5)
+        )
+        alone = np.random.default_rng(5)
+        expected = [
+            singlet_meter_raw(PolarizationTrace(1.0, wavelengths, i, m), cfg, alone)
+            for i, m in zip(intensities, mvecs)
+        ]
+        assert batch.shape == (3, 9)
+        assert np.array_equal(batch, np.array(expected))
+
     def test_polarized_beam_reads_zero_when_ideal(self):
         trace, _ = two_line_trace(0.0, n=4)
         np.testing.assert_allclose(singlet_meter_raw(trace, IDEAL), 0.0, atol=1e-15)
@@ -242,6 +261,15 @@ class TestSingletMeterDop:
 
 
 class TestPolarimeter:
+    def test_batch_rejected(self):
+        _, src = two_line_trace(30.0)
+        beams = np.array([[line.poincare().as_array() for line in src.lines]] * 2)
+        trace = PolarizationTrace.held(0.1, src.wavelengths_nm(), src.intensities(), beams, 10)
+        with pytest.raises(InvariantError, match="batch"):
+            polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))
+        with pytest.raises(InvariantError, match="batch"):
+            singlet_meter_dop(trace, IDEAL)
+
     def test_static_trace_exact(self):
         trace, src = two_line_trace(67.0, i1=1.1, i2=0.4, n=10, dt=0.1)
         out = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))
@@ -334,18 +362,6 @@ class TestCalibration:
     def test_rejects_non_separating_references(self):
         with pytest.raises(Exception):
             calibrate_from_references(0.5, 0.5, 0.96)
-
-
-class TestSeriesCsv:
-    def test_columns_and_formatting(self, tmp_path):
-        from dopsim.instruments import write_series_csv
-
-        path = tmp_path / "series.csv"
-        write_series_csv(path, [0.0, 0.5], [0.123456789012345, 1.0])
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "time_s,value"
-        assert lines[1] == "0,0.123456789012"
-        assert lines[2] == "0.5,1"
 
 
 class TestFiberScrambledOrdering:

@@ -13,11 +13,14 @@ from dopsim.polcore import (
     UndefinedDirectionError,
     UndefinedDopError,
     brute_force_trace,
+    check_pure_states,
     density_from_poincare,
     dop,
     mix,
+    mixture_dop_many,
     poincare_angle,
     poincare_from_density,
+    poincare_round_trip,
     rotate_density,
     rotate_poincare,
     rotate_poincare_many,
@@ -299,14 +302,15 @@ class TestRotatePoincareMany:
         axes = np.array([random_unit_vector(rng) * (1 + rng.uniform(-1e-10, 1e-10)) for _ in range(3)])
         angles = rng.uniform(-10, 10, size=(3, len(states)))
         out = rotate_poincare_many(states, axes, angles)
-        expected = [
-            [
-                poincare_from_density(density_from_poincare(rotate_poincare(m, axis, angle))).as_array()
-                for m, angle in zip(states, row)
-            ]
+        rotated = [
+            [rotate_poincare(m, axis, angle) for m, angle in zip(states, row)]
             for axis, row in zip(axes, angles)
         ]
-        assert np.array_equal(out, np.array(expected))
+        assert np.array_equal(out, np.array([[m.as_array() for m in row] for row in rotated]))
+        expected = [
+            [poincare_from_density(density_from_poincare(m)).as_array() for m in row] for row in rotated
+        ]
+        assert np.array_equal(poincare_round_trip(out), np.array(expected))
 
     def test_axis_checks(self):
         m = [PoincareVector(0, 0, 1)]
@@ -320,6 +324,51 @@ class TestRotatePoincareMany:
     def test_non_finite_result_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
             rotate_poincare_many([PoincareVector(0, 0, 1)], [(1, 0, 0)], [[math.inf]])
+
+
+class TestMixtureDopMany:
+    def test_equals_dop_of_mix(self):
+        # pure and mixed line states, among them the |M| that differ between
+        # libm pow and x * x, mixed with unequal weights, some zero
+        rng = np.random.default_rng(53)
+        pool = [random_poincare(rng, pure=bool(k % 2)) for k in range(6000)]
+        mvecs = np.array([m.as_array() for m in pool]).reshape(2000, 3, 3)
+        for weights in ([1.0, 1.0, 1.0], [0.25, 0.5, 0.25], [0.3, 0.0, 1.7]):
+            expected = [
+                dop(poincare_from_density(mix([density_from_poincare(m) for m in row], weights)))
+                for row in pool_rows(pool, 3)
+            ]
+            assert np.array_equal(mixture_dop_many(mvecs, weights), np.array(expected))
+
+    def test_rejects_bad_weights_and_states(self):
+        m = np.zeros((1, 2, 3))
+        with pytest.raises(InvariantError):
+            mixture_dop_many(m, [1.0, -1.0])
+        with pytest.raises(InvariantError):
+            mixture_dop_many(m, [0.0, 0.0])
+        with pytest.raises(InvariantError):
+            mixture_dop_many(m, [1.0, 1.0, 1.0])
+        with pytest.raises(InvariantError):
+            mixture_dop_many(np.array([[[0.0, 0.0, 1.5], [0.0, 0.0, 1.0]]]), [1.0, 1.0])
+        with pytest.raises(InvariantError):
+            mixture_dop_many(np.array([[[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]]), [1.0, 1.0])
+
+
+class TestCheckPureStates:
+    def test_accepts_pure_states(self):
+        check_pure_states([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0 + 1e-13]], "lines")
+
+    def test_rejects_invalid_states(self):
+        with pytest.raises(InvariantError, match="exceeds 1"):
+            check_pure_states([[0.0, 0.0, 1.0 + 1e-10]], "lines")
+        with pytest.raises(InvariantError, match="non-finite"):
+            check_pure_states([[math.nan, 0.0, 0.0]], "lines")
+        with pytest.raises(InvariantError, match="pure"):
+            check_pure_states([[0.6, 0.0, 0.0]], "lines")
+
+
+def pool_rows(pool, width):
+    return [pool[k:k + width] for k in range(0, len(pool), width)]
 
 
 class TestTypeInvariants:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from dopsim.sources import (
     modulated_carrier_source,
     modulation_wavelength_offset_nm,
     source_dop,
-    source_from_json,
-    source_to_json,
     two_laser_source,
 )
 from helpers import random_poincare, random_unit_vector
@@ -171,28 +168,3 @@ class TestGreatCircles:
     def test_bad_circle_index(self):
         with pytest.raises(InvariantError):
             great_circle_states(3, 5, 40.0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(109)
-        src = two_laser_source(
-            1552, 1554, 0.4, 1.1, random_poincare(rng, pure=True), random_poincare(rng, pure=True)
-        )
-        doc = json.loads(json.dumps(source_to_json(src)))
-        back = source_from_json(doc)
-        assert back.wavelengths_nm() == src.wavelengths_nm()
-        assert back.intensities() == src.intensities()
-        for la, lb in zip(src.lines, back.lines):
-            np.testing.assert_allclose(
-                la.poincare().as_array(), lb.poincare().as_array(), atol=1e-12
-            )
-
-    def test_missing_lines_rejected(self):
-        with pytest.raises(InvariantError):
-            source_from_json({})
-
-    def test_bad_line_entry_mentions_index(self):
-        doc = {"lines": [{"wavelength_nm": 1550.0, "intensity": 1.0, "poincare": "oops"}]}
-        with pytest.raises(InvariantError, match=r"lines\[0\]"):
-            source_from_json(doc)

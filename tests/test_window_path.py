@@ -62,6 +62,8 @@ def shake_docs(draw):
     ref = draw(st.one_of(st.none(), st.floats(1000.0, 2000.0)))
     if ref is not None:
         channel["ref_wavelength_nm"] = ref
+    # a run keeps its trajectory only when it is to write one
+    output = {"trajectory_csv": "trajectory.csv"} if draw(st.booleans()) else {}
     return {
         "scenario": "fig3_shake",
         "seed": draw(st.integers(0, 2**31)),
@@ -88,6 +90,7 @@ def shake_docs(draw):
             "integration_time_s": draw(st.sampled_from([samples * dt, (samples // 2) * dt])),
             "noise_sigma_rel": draw(st.sampled_from([0.0, 0.01])),
         },
+        "output": output,
     }
 
 
@@ -193,8 +196,12 @@ def test_shake_run_equals_per_sample_run(doc):
     result = run_fig3_shake(cfg)
     records, axes, retardances, deflections = per_sample_run(cfg)
     assert result.records == records
-    assert np.array_equal(result.axes, axes)
-    assert np.array_equal(result.retardances, retardances)
+    if cfg.output.trajectory_csv is None:
+        assert result.times_s is None and result.axes is None and result.retardances is None
+    else:
+        assert np.array_equal(result.times_s, np.arange(len(axes)) * cfg.dt_s)
+        assert np.array_equal(result.axes, axes)
+        assert np.array_equal(result.retardances, retardances)
     summary = result.summary
     assert math.isclose(
         summary["scrambling_mean_deflection_rad"], float(np.mean(deflections)), rel_tol=0.0,
