@@ -591,9 +591,10 @@ class ScanResult:
     summary: dict
 
 
-#: Samples one meter call of the scan holds at most; longer scans go in
-#: blocks of whole points, so memory does not grow with points x samples.
-SCAN_BLOCK_SAMPLES = 1 << 16
+#: Samples one instrument call holds at most, unless one scan point or
+#: shake window is longer: the scan and the shake runners go in blocks of
+#: whole points or windows, so memory does not grow with the run length.
+BLOCK_SAMPLES = 2048
 
 
 def _meter_pairs(
@@ -656,6 +657,9 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     pairs = _two_laser_pairs(cfg)
+    if len(set(scan.two_phi_deg)) < 2:
+        # one level gives one 1 - DOP^2: no line to fit, only rounding noise
+        raise ConfigError("scan.two_phi_deg: a line fit needs at least two distinct levels")
 
     circle, base_idx, two_phi = (
         a.ravel()
@@ -676,7 +680,7 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     one_minus_dop2 = [1.0 - d**2 for d in true_dop]
     beams = poincare_round_trip(mvecs)
     n = scan.samples_per_point
-    block = max(1, SCAN_BLOCK_SAMPLES // n)
+    block = max(1, BLOCK_SAMPLES // n)
     means, stds = [], []
     for lo in range(0, len(beams), block):
         trace = PolarizationTrace.held(cfg.dt_s, wavelengths, intensities, beams[lo:lo + block], n)
@@ -788,7 +792,18 @@ def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
+def _held_fiber(fiber: FiberState, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n samples of an unshaken fiber: axes (n, 3), retardances (n,)."""
+    return np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3)), np.full(n, fiber.retardance_ref_rad)
+
+
 def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
+    """The shake run in blocks of whole windows, at most ``BLOCK_SAMPLES``
+    samples each (one window when a window is longer).  A block takes one
+    ``evolve_window`` call for its shaken windows, one ``fiber_trace``, one
+    meter, inversion and polarimeter call on the batch of its windows, and
+    one sphere-angle call: the same records, trajectory and channel stream,
+    bit for bit, as advancing and reading the windows one by one."""
     if cfg.scenario != "fig3_shake":
         raise ConfigError(f"scenario: expected fig3_shake, got {cfg.scenario}")
     shake, src_cfg, chan, meter = cfg.shake, cfg.two_laser, cfg.channel, cfg.meter
@@ -816,6 +831,8 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     keep_trajectory = cfg.output.trajectory_csv is not None
 
     n = int(round(shake.window_s / cfg.dt_s))
+    last = shake.windows - 1  # the first and last windows are unshaken
+    block = max(1, BLOCK_SAMPLES // n)
     meter_noisy = meter.noise_sigma_rel > 0.0
     pol_noisy = cfg.polarimeter.noise_sigma_rel > 0.0
 
@@ -823,37 +840,55 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     axes_path: list[np.ndarray] = []
     retardance_path: list[np.ndarray] = []
     deflections: list[np.ndarray] = []
-    for window in range(shake.windows):
-        shaken = 0 < window < shake.windows - 1
-        if shaken:
-            axes, retardances = evolve_window(fiber, cfg.dt_s, n, process, rng_channel)
-            fiber = FiberState(tuple(axes[-1].tolist()), float(retardances[-1]), ref_wavelength)
-        else:
-            axes = np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3))
-            retardances = np.full(n, fiber.retardance_ref_rad, dtype=float)
-        trace = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
-        line1 = trace.poincare[:, 0, :]
-        if window == 0:
-            reference_m1 = line1[0]
-        if shaken:
-            deflections.append(_sphere_angles(line1, reference_m1))
+    for lo in range(0, shake.windows, block):
+        hi = min(lo + block, shake.windows)
+        first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
+        segments = []
+        if lo == 0:
+            segments.append(_held_fiber(fiber, n))
+        if first < stop:
+            walk = evolve_window(fiber, cfg.dt_s, (stop - first) * n, process, rng_channel)
+            segments.append(walk)
+            fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), ref_wavelength)
+        if hi > last:
+            segments.append(_held_fiber(fiber, n))
+        axes = np.concatenate([a for a, _ in segments])
+        retardances = np.concatenate([r for _, r in segments])
         if keep_trajectory:
             axes_path.append(axes)
             retardance_path.append(retardances)
 
-        readout = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs)
-        estimate = invert_meter_readout(np.array([readout.mean()]), meter, wavelengths, intensities, pairs)
-        pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None)
-        records.append(
+        lines = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
+        batch = (hi - lo, n, len(wavelengths))  # the block's windows as a batch of beams
+        trace = PolarizationTrace(
+            cfg.dt_s,
+            lines.wavelengths,
+            np.broadcast_to(lines.intensities[0], batch),
+            lines.poincare.reshape(batch + (3,)),
+        )
+        line1 = lines.poincare[:, 0, :]
+        if lo == 0:
+            reference_m1 = line1[0]
+        if first < stop:
+            deflections.append(_sphere_angles(line1[(first - lo) * n:(stop - lo) * n], reference_m1))
+
+        readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs).mean(axis=1)
+        estimate = invert_meter_readout(readout_mean, meter, wavelengths, intensities, pairs)
+        pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None).mean(axis=1)
+        records.extend(
             ShakeRecord(
                 window=window,
                 t_start_s=window * shake.window_s,
                 t_end_s=(window + 1) * shake.window_s,
-                shaken=shaken,
-                meter_readout_mean=float(readout.mean()),
-                meter_dop=float(estimate.dop[0]),
-                meter_clipped=bool(estimate.clipped[0]),
-                polarimeter_dop=float(np.mean(pol)),
+                shaken=0 < window < last,
+                meter_readout_mean=r,
+                meter_dop=d,
+                meter_clipped=c,
+                polarimeter_dop=p,
+            )
+            for window, r, d, c, p in zip(
+                range(lo, hi), readout_mean.tolist(), estimate.dop.tolist(), estimate.clipped.tolist(),
+                pol.tolist(),
             )
         )
 

@@ -140,7 +140,8 @@ class PolarizationTrace:
     ``wavelengths`` is (L,), ``intensities`` (n, L) and ``poincare`` the
     lines' Poincare vectors (n, L, 3).  A batch of P beams of one line set
     and one length puts a leading axis on both, (P, n, L) and (P, n, L, 3);
-    the meter reads a batch in one call, each beam on its own.  ``len`` is
+    the meter and the polarimeter read a batch in one call, each beam on its
+    own.  ``len`` is
     the number of samples n.  Construction checks the shapes; the values
     must meet the per-line invariants (finite, intensities >= 0,
     |M| <= 1 + 1e-12), which ``static`` and ``from_snapshots`` inherit from
@@ -401,33 +402,35 @@ def singlet_meter_dop(
 def polarimeter_dop(
     trace: PolarizationTrace, cfg: PolarimeterConfig, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """DOP per integration window from time-averaged Stokes components.
+    """DOP per integration window from time-averaged Stokes components:
+    (windows,), or (P, windows) for a batch of P beams.
 
     The four averaged components each receive independent relative Gaussian
-    noise before the |S123|/S0 division.
+    noise before the |S123|/S0 division.  Trailing samples that fill no
+    whole window are not read.  A batch reads as its beams one after another
+    would: no window reaches across beams, and the noise draws follow beam
+    order, then window order.
     """
-    if trace.intensities.ndim != 2:
-        raise InvariantError("polarimeter_dop: reads one beam, not a batch")
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("polarimeter_dop: noisy config needs an explicit rng")
     window = int(round(cfg.integration_time_s / trace.dt_s))
     if window < 1 or len(trace) < window:
         raise InvariantError("polarimeter_dop: trace shorter than the integration time")
 
-    s0 = trace.intensities.sum(axis=1)
-    svec = (trace.intensities[:, :, None] * trace.poincare).sum(axis=1)
-
-    n_windows = len(trace) // window
-    out = np.empty(n_windows)
-    for w in range(n_windows):
-        sl = slice(w * window, (w + 1) * window)
-        stokes = np.array([s0[sl].mean(), *svec[sl].mean(axis=0)])
-        if cfg.noise_sigma_rel > 0.0:
-            stokes = stokes * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(4))
-        if stokes[0] <= 0.0:
-            raise NumericsError("polarimeter_dop: non-positive averaged power")
-        out[w] = float(np.linalg.norm(stokes[1:]) / stokes[0])
-    return out
+    s0 = trace.intensities.sum(axis=-1)
+    svec = (trace.intensities[..., None] * trace.poincare).sum(axis=-2)
+    batch, n_windows = s0.shape[:-1], len(trace) // window
+    used = n_windows * window
+    stokes = np.empty(batch + (n_windows, 4))
+    stokes[..., 0] = s0[..., :used].reshape(batch + (n_windows, window)).mean(axis=-1)
+    stokes[..., 1:] = svec[..., :used, :].reshape(batch + (n_windows, window, 3)).mean(axis=-2)
+    if cfg.noise_sigma_rel > 0.0:
+        stokes = stokes * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(stokes.shape))
+    if np.any(stokes[..., 0] <= 0.0):
+        raise NumericsError("polarimeter_dop: non-positive averaged power")
+    # one BLAS dot per window, as np.linalg.norm takes it; a vectorised norm differs in the last bit
+    norms = np.array([np.linalg.norm(v) for v in stokes[..., 1:].reshape(-1, 3)])
+    return norms.reshape(stokes.shape[:-1]) / stokes[..., 0]
 
 
 @dataclass(frozen=True)

@@ -259,16 +259,56 @@ class TestSingletMeterDop:
         est = singlet_meter_dop(trace, IDEAL)
         np.testing.assert_allclose(est.dop, math.sqrt(0.5), atol=1e-6)
 
-
-class TestPolarimeter:
     def test_batch_rejected(self):
         _, src = two_line_trace(30.0)
         beams = np.array([[line.poincare().as_array() for line in src.lines]] * 2)
         trace = PolarizationTrace.held(0.1, src.wavelengths_nm(), src.intensities(), beams, 10)
         with pytest.raises(InvariantError, match="batch"):
-            polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))
-        with pytest.raises(InvariantError, match="batch"):
             singlet_meter_dop(trace, IDEAL)
+
+
+def window_loop_polarimeter(trace, cfg, rng):
+    """One beam's polarimeter DOP, one integration window at a time: the
+    Stokes means per window, noise, then np.linalg.norm(S123) / S0."""
+    window = int(round(cfg.integration_time_s / trace.dt_s))
+    s0 = trace.intensities.sum(axis=1)
+    svec = (trace.intensities[:, :, None] * trace.poincare).sum(axis=1)
+    out = []
+    for w in range(len(trace) // window):
+        sl = slice(w * window, (w + 1) * window)
+        stokes = np.array([s0[sl].mean(), *svec[sl].mean(axis=0)])
+        if cfg.noise_sigma_rel > 0.0:
+            stokes = stokes * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(4))
+        out.append(float(np.linalg.norm(stokes[1:]) / stokes[0]))
+    return np.array(out)
+
+
+class TestPolarimeter:
+    def test_batch_reads_each_beam_alone(self):
+        # time-varying beams of one line set: each row equals that beam read
+        # alone, in beam order, noise draws included.  Cases: several windows
+        # per beam with trailing samples left over, windows long enough for
+        # numpy's pairwise summation, and one window filling the trace.
+        rng = np.random.default_rng(67)
+        wavelengths = np.array([1550.0, 1551.0, 1553.0])
+        for n, window, noise in [(23, 5, 0.05), (23, 5, 0.0), (307, 150, 0.05), (9, 9, 0.05)]:
+            mvecs = np.array([random_poincare(rng).as_array() for _ in range(3 * n * 3)]).reshape(3, n, 3, 3)
+            intensities = rng.uniform(0.1, 2.0, size=(3, n, 3))
+            cfg = PolarimeterConfig(integration_time_s=window * 0.01, noise_sigma_rel=noise)
+            batch = polarimeter_dop(
+                PolarizationTrace(0.01, wavelengths, intensities, mvecs), cfg, np.random.default_rng(7)
+            )
+            alone = np.random.default_rng(7)
+            expected = [
+                polarimeter_dop(PolarizationTrace(0.01, wavelengths, i, m), cfg, alone)
+                for i, m in zip(intensities, mvecs)
+            ]
+            assert batch.shape == (3, n // window)
+            assert np.array_equal(batch, np.array(expected))
+            alone = np.random.default_rng(7)
+            for row, i, m in zip(batch, intensities, mvecs):
+                beam = PolarizationTrace(0.01, wavelengths, i, m)
+                assert np.array_equal(row, window_loop_polarimeter(beam, cfg, alone))
 
     def test_static_trace_exact(self):
         trace, src = two_line_trace(67.0, i1=1.1, i2=0.4, n=10, dt=0.1)

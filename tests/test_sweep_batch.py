@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dopsim import harness
 from dopsim.channel import PmdElement, apply_pmd
-from dopsim.harness import PmdRecord, ScanRecord, _affine_fit, _streams, load_config
+from dopsim.harness import ConfigError, PmdRecord, ScanRecord, _affine_fit, _streams, load_config
 from dopsim.instruments import (
     PolarizationTrace,
     degenerate_contamination,
@@ -100,6 +100,8 @@ def per_point_scan(cfg):
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
+    if len(set(scan.two_phi_deg)) < 2:
+        raise ConfigError("scan.two_phi_deg: one level leaves no line to fit")
 
     records = []
     for circle in scan.circles:
@@ -219,7 +221,7 @@ def per_point_pmd(cfg):
 
 def outcome(run, cfg):
     """(records, summary), or the type of the error the run raised -- a
-    scan whose points all share one 1 - DOP^2 has no line to fit."""
+    scan with one distinct level has no line to fit."""
     try:
         return run(cfg)
     except Exception as exc:  # noqa: BLE001 -- both paths must fail alike
@@ -248,11 +250,11 @@ def assert_same(got, expected, where="summary"):
 
 
 @SETTINGS
-@given(doc=scan_docs(), block=st.sampled_from([7, harness.SCAN_BLOCK_SAMPLES]))
+@given(doc=scan_docs(), block=st.sampled_from([7, harness.BLOCK_SAMPLES]))
 def test_scan_equals_per_point_scan(doc, block):
     cfg = load_config(doc)
     # a small block splits the meter pass into several calls; the records must not move
-    with mock.patch.object(harness, "SCAN_BLOCK_SAMPLES", block):
+    with mock.patch.object(harness, "BLOCK_SAMPLES", block):
         result = outcome(harness.run_fig2_scan, cfg)
     expected = outcome(per_point_scan, cfg)
     if isinstance(expected, type):

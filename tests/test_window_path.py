@@ -7,8 +7,10 @@ channel, source and instrument settings.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from dopsim.channel import (
     evolve_window,
     fiber_trace,
 )
+from dopsim import harness
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
 from dopsim.instruments import (
     PolarizationTrace,
@@ -75,7 +78,7 @@ def shake_docs(draw):
             "intensity2": draw(st.floats(0.1, 2.0)),
         },
         "shake": {
-            "windows": draw(st.integers(3, 4)),
+            "windows": draw(st.integers(3, 6)),
             "window_s": samples * dt,
             "two_phi_deg": draw(st.floats(0.0, 180.0)),
             "circle_index": draw(st.integers(0, 2)),
@@ -190,10 +193,15 @@ def test_window_equals_evolve_and_apply_fiber_loop(doc, channel_seed):
 
 
 @SETTINGS
-@given(doc=shake_docs())
-def test_shake_run_equals_per_sample_run(doc):
+@given(doc=shake_docs(), budget=st.sampled_from(["one", "two_windows", "default"]))
+def test_shake_run_equals_per_sample_run(doc, budget):
     cfg = load_config(doc)
-    result = run_fig3_shake(cfg)
+    n = int(round(cfg.shake.window_s / cfg.dt_s))
+    # one window per block (the unshaken first and last alone), two (a block
+    # boundary splits the shaken run), or every window in one block
+    block = {"one": 1, "two_windows": 2 * n + 1, "default": harness.BLOCK_SAMPLES}[budget]
+    with mock.patch.object(harness, "BLOCK_SAMPLES", block):
+        result = run_fig3_shake(cfg)
     records, axes, retardances, deflections = per_sample_run(cfg)
     assert result.records == records
     if cfg.output.trajectory_csv is None:
@@ -211,3 +219,36 @@ def test_shake_run_equals_per_sample_run(doc):
         summary["scrambling_max_deflection_rad"], float(np.max(deflections)), rel_tol=0.0,
         abs_tol=ANGLE_TOLERANCE,
     )
+
+
+@pytest.mark.parametrize("budget", [100, 10])
+@pytest.mark.parametrize("windows", [3, 10, 41])
+def test_instrument_calls_hold_at_most_one_block(windows, budget):
+    # memory is pinned to the block size (one window when a window is
+    # longer), not to the run length
+    cfg = load_config(
+        {
+            "scenario": "fig3_shake",
+            "dt_s": 1e-3,
+            "shake": {"windows": windows, "window_s": 0.03},
+            "polarimeter": {"integration_time_s": 0.01, "noise_sigma_rel": 0.01},
+            "meter": {"noise_sigma_rel": 0.1},
+        }
+    )
+    n = 30
+    held = []
+
+    def spy(real):
+        def call(trace, *args, **kwargs):
+            held.append(math.prod(trace.intensities.shape[:-1]))
+            return real(trace, *args, **kwargs)
+        return call
+
+    with mock.patch.object(harness, "BLOCK_SAMPLES", budget), \
+            mock.patch.object(harness, "singlet_meter_raw", spy(harness.singlet_meter_raw)), \
+            mock.patch.object(harness, "polarimeter_dop", spy(harness.polarimeter_dop)):
+        result = run_fig3_shake(cfg)
+    assert len(result.records) == windows
+    assert len(held) == 2 * math.ceil(windows / max(1, budget // n))
+    assert max(held) <= max(n, budget)
+    assert sum(held) == 2 * windows * n
