@@ -597,6 +597,13 @@ class ScanResult:
 BLOCK_SAMPLES = 2048
 
 
+#: Smallest spread of 1 - DOP^2 over a scan's points that a line fit can
+#: use.  Levels of one DOP -- one level repeated, or 2phi and 360 - 2phi --
+#: leave a spread of a few ULPs, and a fit through it reports slopes near
+#: 1e12; the records print 1 - DOP^2 to 12 digits, where it does not show.
+SCAN_MIN_SPREAD = 1e-12
+
+
 def _meter_pairs(
     meter: MeterConfig,
     wavelengths_nm: Sequence[float],
@@ -657,9 +664,6 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     pairs = _two_laser_pairs(cfg)
-    if len(set(scan.two_phi_deg)) < 2:
-        # one level gives one 1 - DOP^2: no line to fit, only rounding noise
-        raise ConfigError("scan.two_phi_deg: a line fit needs at least two distinct levels")
 
     circle, base_idx, two_phi = (
         a.ravel()
@@ -678,6 +682,9 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     true_dop = mixture_dop_many(mvecs, intensities).tolist()
     # Python float ``**2`` (libm pow), which differs from x * x in the last bit for some x
     one_minus_dop2 = [1.0 - d**2 for d in true_dop]
+    x = np.array(one_minus_dop2)
+    if np.ptp(x) <= SCAN_MIN_SPREAD:
+        raise ConfigError("scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs")
     beams = poincare_round_trip(mvecs)
     n = scan.samples_per_point
     block = max(1, BLOCK_SAMPLES // n)
@@ -696,7 +703,6 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
             readout_mean.tolist(), readout_std.tolist(),
         )
     ]
-    x = np.array(one_minus_dop2)
     slope, intercept, r_squared = _affine_fit(x, readout_mean)
     predicted_slope, predicted_intercept = predicted_scan_line(cfg)
 

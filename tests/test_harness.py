@@ -311,13 +311,16 @@ class TestCli:
             ("pmd", {"scenario": "pmd_sweep", "source": {"intensity_split": [0, 1, 0]}},
              "source.intensity_split: no line pair within the meter acceptance carries light"),
             ("scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [0]}},
-             "scan.two_phi_deg: a line fit needs at least two distinct levels"),
+             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
             ("scan", {"scenario": "fig2_scan", "scan": {"circles": [0], "base_count": 1, "two_phi_deg": [0]},
                       "meter": {"noise_sigma_rel": 0.0}},
-             "scan.two_phi_deg: a line fit needs at least two distinct levels"),
+             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
+            ("scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [10, 350, -10, 370]}},
+             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
         ],
         ids=["scan_far_lines", "calibrate_far_lines", "pmd_far_sidebands", "shake_far_lines",
-             "scan_dark_line", "pmd_dark_sidebands", "scan_one_level", "scan_one_point"],
+             "scan_dark_line", "pmd_dark_sidebands", "scan_one_level", "scan_one_point",
+             "scan_one_dop_level"],
     )
     def test_empty_measurement_exits_2_naming_field(self, tmp_path, capsys, command, doc, message):
         # the meter sees no line pair: flagged, not reported as a fit or a calibration

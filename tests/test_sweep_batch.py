@@ -100,8 +100,6 @@ def per_point_scan(cfg):
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
-    if len(set(scan.two_phi_deg)) < 2:
-        raise ConfigError("scan.two_phi_deg: one level leaves no line to fit")
 
     records = []
     for circle in scan.circles:
@@ -128,6 +126,8 @@ def per_point_scan(cfg):
                 )
 
     x = np.array([r.one_minus_dop2 for r in records])
+    if x.max() - x.min() <= 1e-12:
+        raise ConfigError("scan.two_phi_deg: levels of one DOP leave no line to fit")
     y = np.array([r.readout_mean for r in records])
     slope, intercept, r_squared = _affine_fit(x, y)
     separation = abs(src_cfg.lambda1_nm - src_cfg.lambda2_nm)
