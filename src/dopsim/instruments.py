@@ -141,11 +141,11 @@ class PolarizationTrace:
     lines' Poincare vectors (n, L, 3).  A batch of P beams of one line set
     and one length puts a leading axis on both, (P, n, L) and (P, n, L, 3);
     the meter and the polarimeter read a batch in one call, each beam on its
-    own.  ``len`` is
-    the number of samples n.  Construction checks the shapes; the values
-    must meet the per-line invariants (finite, intensities >= 0,
-    |M| <= 1 + 1e-12), which ``static`` and ``from_snapshots`` inherit from
-    validated beams and the harness and ``channel.fiber_trace`` check in bulk.
+    own.  ``len`` is the number of samples n.  Construction checks the
+    shapes; the values must meet the per-line invariants (finite,
+    intensities >= 0, |M| <= 1 + 1e-12), which ``static`` and
+    ``from_snapshots`` inherit from validated beams and the harness and
+    ``channel.fiber_trace`` check in bulk.
     """
 
     dt_s: float

@@ -221,7 +221,7 @@ def per_point_pmd(cfg):
 
 def outcome(run, cfg):
     """(records, summary), or the type of the error the run raised -- a
-    scan with one distinct level has no line to fit."""
+    scan whose points all share one 1 - DOP^2 has no line to fit."""
     try:
         return run(cfg)
     except Exception as exc:  # noqa: BLE001 -- both paths must fail alike
