@@ -25,8 +25,8 @@ import numpy as np
 
 from .instruments import PolarizationTrace
 from .polcore import (
-    ATOL_INPUT,
     InvariantError,
+    _unit_axis,
     density_from_poincare,
     poincare_angle,
     poincare_round_trip,
@@ -34,20 +34,6 @@ from .polcore import (
     rotate_poincare_many,
 )
 from .sources import SPEED_OF_LIGHT_M_PER_S, SourceSpec, SpectralLine
-
-
-def _validated_axis(axis) -> tuple[float, float, float]:
-    if isinstance(axis, tuple) and len(axis) == 3:
-        a1, a2, a3 = axis
-    else:
-        arr = np.asarray(axis, dtype=float).reshape(3)
-        a1, a2, a3 = float(arr[0]), float(arr[1]), float(arr[2])
-    n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    if not math.isfinite(n) or n == 0.0:
-        raise InvariantError("axis must be a finite nonzero 3-vector")
-    if abs(n - 1.0) > ATOL_INPUT:
-        raise InvariantError(f"axis norm {n:.12g} not within 1e-9 of 1")
-    return (a1, a2, a3)
 
 
 @dataclass(frozen=True)
@@ -60,7 +46,7 @@ class FiberState:
     ref_wavelength_nm: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", _validated_axis(self.axis))
+        _unit_axis(self.axis)  # validates; the axis is kept as given, not renormalised
         if not math.isfinite(self.retardance_ref_rad):
             raise InvariantError("FiberState: retardance must be finite")
         if not (math.isfinite(self.ref_wavelength_nm) and self.ref_wavelength_nm > 0.0):
@@ -108,7 +94,7 @@ class PmdElement:
     axis: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", _validated_axis(self.axis))
+        _unit_axis(self.axis)  # validates; the axis is kept as given, not renormalised
         if not (math.isfinite(self.dgd_s) and self.dgd_s >= 0.0):
             raise InvariantError("PmdElement: dgd_s must be >= 0")
 

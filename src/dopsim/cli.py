@@ -11,27 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    ConfigError,
-    ScenarioConfig,
-    load_config_file,
-    run_calibrate,
-    run_fig2_scan,
-    run_fig3_shake,
-    run_pmd_sweep,
-    write_calibration_output,
-    write_pmd_outputs,
-    write_scan_outputs,
-    write_shake_outputs,
-)
+from . import harness
+from .harness import SCENARIOS, ConfigError, load_config_file
 from .polcore import DopsimError, NumericsError
-
-_COMMAND_SCENARIO = {
-    "scan": "fig2_scan",
-    "shake": "fig3_shake",
-    "pmd": "pmd_sweep",
-    "calibrate": "calibrate",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fiber-shaking comparison, PMD sweep and meter calibration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, scenario in _COMMAND_SCENARIO.items():
-        sp = sub.add_parser(command, help=f"run the {scenario} scenario")
+    for scenario, spec in SCENARIOS.items():
+        sp = sub.add_parser(spec.command, help=f"run the {scenario} scenario")
         sp.add_argument("--config", required=True, help="scenario config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="directory for output files")
@@ -54,8 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_output(configured: str | None, default_name: str, out_dir: str | None) -> Path:
-    path = Path(configured) if configured else Path(default_name)
+def _resolve_output(configured: str | None, default_name: str | None, out_dir: str | None) -> Path | None:
+    """Where one output goes; None for an optional output the config does not name."""
+    name = configured or default_name
+    if name is None:
+        return None
+    path = Path(name)
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -64,44 +50,16 @@ def _resolve_output(configured: str | None, default_name: str, out_dir: str | No
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
-    cfg: ScenarioConfig = load_config_file(
-        args.config, seed_override=args.seed, noise_off=(args.noise == "off")
-    )
-    expected = _COMMAND_SCENARIO[args.command]
-    if cfg.scenario != expected:
+    cfg = load_config_file(args.config, seed_override=args.seed, noise_off=(args.noise == "off"))
+    spec = SCENARIOS[cfg.scenario]
+    if spec.command != args.command:
+        expected = next(name for name, s in SCENARIOS.items() if s.command == args.command)
         raise ConfigError(f"scenario: config declares {cfg.scenario!r}, command expects {expected!r}")
-
-    out = cfg.output
-    if args.command == "scan":
-        result = run_fig2_scan(cfg)
-        write_scan_outputs(
-            result,
-            _resolve_output(out.records_csv, "scan.csv", args.out),
-            _resolve_output(out.summary_json, "scan_summary.json", args.out),
-        )
-    elif args.command == "shake":
-        result = run_fig3_shake(cfg)
-        trajectory = None
-        if out.trajectory_csv is not None:
-            trajectory = _resolve_output(out.trajectory_csv, "trajectory.csv", args.out)
-        write_shake_outputs(
-            result,
-            _resolve_output(out.records_csv, "shake.csv", args.out),
-            _resolve_output(out.summary_json, "shake_summary.json", args.out),
-            trajectory,
-        )
-    elif args.command == "pmd":
-        result = run_pmd_sweep(cfg)
-        write_pmd_outputs(
-            result,
-            _resolve_output(out.records_csv, "pmd.csv", args.out),
-            _resolve_output(out.summary_json, "pmd_summary.json", args.out),
-        )
-    else:
-        record = run_calibrate(cfg)
-        write_calibration_output(
-            record, _resolve_output(out.calibration_json, "calibration.json", args.out)
-        )
+    # runner and writer are looked up on the module at call time, so a
+    # wrapper installed there (a tracer, a test spy) is the one called
+    result = getattr(harness, spec.run)(cfg)
+    paths = [_resolve_output(getattr(cfg.output, key), name, args.out) for key, name in spec.outputs.items()]
+    getattr(harness, spec.write)(result, *paths)
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -59,13 +59,28 @@ from .sources import (
     great_circle_pair,
     great_circle_vectors,
     modulated_carrier_source,
+    modulation_wavelength_offset_nm,
     source_dop,
     two_laser_source,
 )
 
-SCENARIOS = ("fig2_scan", "fig3_shake", "pmd_sweep", "calibrate")
-
 DEFAULT_SEED_ENV = "DOPSIM_SEED"
+
+#: Most samples one scan point, shake window or calibration reference may
+#: hold.  Peak memory grows by about 0.5 KB per window sample: a shake run of
+#: three windows this long peaks at 170 MB, a scan point or a calibration
+#: reference at 87 MB.
+MAX_SAMPLES = 2**18
+
+#: Most points a scan, windows a shake run or DGD steps a PMD sweep may hold;
+#: a scan or a sweep this long peaks at 77 MB.
+MAX_COUNT = 2**16
+
+#: Smallest spread of 1 - DOP^2 over a scan's points that a line fit can
+#: use.  Levels of one DOP -- one level repeated, or 2phi and 360 - 2phi --
+#: leave a spread of a few ULPs, and a fit through it reports slopes near
+#: 1e12; the records print 1 - DOP^2 to 12 digits, where it does not show.
+SCAN_MIN_SPREAD = 1e-12
 
 
 class ConfigError(DopsimError):
@@ -73,86 +88,137 @@ class ConfigError(DopsimError):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: one read rule per key, one section reader, one registry
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """Dict wrapper tracking a field path for error messages and unknown keys."""
+@dataclass(frozen=True)
+class Number:
+    """A finite number, not a bool or a string: at least ``lo``, above
+    ``gt`` and at most ``hi``."""
 
-    def __init__(self, data: dict, path: str = ""):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        self._data = data
-        self._path = path
-        self._seen: set[str] = set()
+    lo: float | None = None
+    gt: float | None = None
+    hi: float | None = None
 
-    def _label(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
+    def read(self, value, label: str):
+        value = self.convert(value, label)
+        if self.gt is not None and value <= self.gt:
+            raise ConfigError(f"{label}: must be > {self.gt}, got {value}")
+        if self.lo is not None and value < self.lo:
+            raise ConfigError(f"{label}: must be >= {self.lo}, got {value}")
+        if self.hi is not None and value > self.hi:
+            raise ConfigError(f"{label}: must be <= {self.hi}, got {value}")
+        return value
 
-    def child(self, key: str) -> "_Node | None":
-        self._seen.add(key)
-        if key not in self._data:
-            return None
-        return _Node(self._data[key], self._label(key))
-
-    def get(self, key: str, default=None):
-        self._seen.add(key)
-        return self._data.get(key, default)
-
-    def get_number(self, key, default=None, minimum=None, maximum=None, exclusive_min=None):
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigError(f"{self._label(key)}: required")
+    def convert(self, value, label: str) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._label(key)}: expected a number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(f"{self._label(key)}: must be finite")
-        if exclusive_min is not None and value <= exclusive_min:
-            raise ConfigError(f"{self._label(key)}: must be > {exclusive_min}, got {value}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self._label(key)}: must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{self._label(key)}: must be <= {maximum}, got {value}")
-        return value
-
-    def get_int(self, key, default=None, minimum=None):
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigError(f"{self._label(key)}: required")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self._label(key)}: expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self._label(key)}: must be >= {minimum}, got {value}")
-        return value
-
-    def get_str(self, key, default=None, choices=None):
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigError(f"{self._label(key)}: required")
-        if not isinstance(value, str):
-            raise ConfigError(f"{self._label(key)}: expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{self._label(key)}: expected one of {sorted(choices)}, got {value!r}")
-        return value
-
-    def get_vector(self, key, length, default=None):
-        value = self.get(key, default)
-        if value is None:
-            raise ConfigError(f"{self._label(key)}: required")
-        if not isinstance(value, (list, tuple)) or len(value) != length:
-            raise ConfigError(f"{self._label(key)}: expected a list of {length} numbers")
+            raise ConfigError(f"{label}: expected a number, got {value!r}")
         try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self._label(key)}: expected a list of {length} numbers")
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{label}: must be finite")
+        return value
 
-    def finish(self) -> None:
-        unknown = set(self._data) - self._seen
+
+class Integer(Number):
+    """An integer, not a bool, within the bounds."""
+
+    def convert(self, value, label: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{label}: expected an integer, got {value!r}")
+        return value
+
+
+class Choice:
+    """One of the given values, of the same type: 1.0 and True are not 1."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def read(self, value, label: str):
+        if not any(type(value) is type(v) and value == v for v in self.values):
+            raise ConfigError(f"{label}: expected one of {list(self.values)}, got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """A non-empty list (of ``length`` entries, if given) as a tuple, each
+    entry read by ``entry``; ``unit`` normalises it to a unit vector."""
+
+    entry: Number | Choice
+    length: int | None = None
+    unit: bool = False
+
+    def read(self, value, label: str) -> tuple:
+        if not isinstance(value, list) or not value or self.length not in (None, len(value)):
+            raise ConfigError(f"{label}: expected a list of {self.length or 'one or more'} entries")
+        values = tuple(self.entry.read(v, f"{label}: entry {i}") for i, v in enumerate(value))
+        if not self.unit:
+            return values
+        n = math.sqrt(sum(v * v for v in values))
+        if not math.isfinite(n) or n == 0.0:
+            raise ConfigError(f"{label}: must be a finite nonzero vector")
+        return tuple(v / n for v in values)
+
+
+@dataclass(frozen=True)
+class OrNone:
+    """``None``, leaving the field unset, or a value ``rule`` reads."""
+
+    rule: Number | FilePath
+
+    def read(self, value, label: str):
+        return None if value is None else self.rule.read(value, label)
+
+
+class FilePath:
+    """A file name: a non-empty string."""
+
+    def read(self, value, label: str) -> str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{label}: expected a non-empty string path, got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
+class Section:
+    """A config object read into the dataclass ``cls``, one rule per key.
+
+    A key left out takes the scenario's default from ``defaults`` (keyed by
+    field path), else the dataclass default; a left-out section reads as
+    ``{}``.  An unknown key and a broken dataclass invariant are errors
+    naming the section.  ``attr`` is the field of ``cls``'s owner that the
+    section fills, when it is not the key.
+    """
+
+    cls: type
+    rules: dict
+    attr: str | None = None
+
+    def read(self, data, label: str, defaults: dict) -> object:
+        where = label or "config"
+        if not isinstance(data, dict):
+            raise ConfigError(f"{where}: expected an object")
+        values = {}
+        for key, rule in self.rules.items():
+            path = f"{label}.{key}" if label else key
+            if isinstance(rule, Section):
+                values[rule.attr or key] = rule.read(data.get(key, {}), path, defaults)
+            elif key in data:
+                values[key] = rule.read(data[key], path)
+            elif path in defaults:
+                values[key] = defaults[path]
+        unknown = set(data) - set(self.rules)
         if unknown:
-            where = self._path or "config"
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        try:
+            return self.cls(**values)
+        except InvariantError as exc:
+            raise ConfigError(f"{where}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -225,11 +291,10 @@ class OutputPaths:
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
-    seed: int
-    dt_s: float
-    duration_s: float
     meter: MeterConfig
     output: OutputPaths
+    seed: int | None = None
+    dt_s: float = 1.0
     two_laser: TwoLaserSettings | None = None
     scan: ScanSettings | None = None
     shake: ShakeSettings | None = None
@@ -240,79 +305,160 @@ class ScenarioConfig:
     calibrate: CalibrateSettings | None = None
 
 
-def _parse_stack(node: _Node | None) -> CrystalStack:
-    if node is None:
-        return CrystalStack()
-    try:
-        stack = CrystalStack(
-            element_length_mm=node.get_number("element_length_mm", 3.0, exclusive_min=0.0),
-            elements_per_stage=node.get_int("elements_per_stage", 4, minimum=1),
-            stages=node.get_int("stages", 2),
-            reference_acceptance_nm=node.get_number("reference_acceptance_nm", 4.5, exclusive_min=0.0),
-            reference_length_mm=node.get_number("reference_length_mm", 12.0, exclusive_min=0.0),
-        )
-    except InvariantError as exc:
-        raise ConfigError(f"meter.stack: {exc}")
-    node.finish()
-    return stack
+AXIS = ListOf(Number(), 3, unit=True)
+
+METER = Section(
+    MeterConfig,
+    {
+        "stack": Section(
+            CrystalStack,
+            {
+                "element_length_mm": Number(gt=0.0),
+                "elements_per_stage": Integer(lo=1),
+                "stages": Integer(),
+                "reference_acceptance_nm": Number(gt=0.0),
+                "reference_length_mm": Number(gt=0.0),
+            },
+        ),
+        "visibility": Number(gt=0.0, hi=1.0),
+        "stage_phase_rad": Number(),
+        "gain": Number(gt=0.0),
+        "dark_offset": Number(),
+        "noise_sigma_rel": Number(lo=0.0),
+        "response_time_s": Number(gt=0.0),
+        "min_separation_nm": Number(lo=0.0),
+    },
+)
+OUTPUT = Section(
+    OutputPaths,
+    {key: OrNone(FilePath()) for key in ("records_csv", "summary_json", "trajectory_csv", "calibration_json")},
+)
+TWO_LASER = Section(
+    TwoLaserSettings,
+    {
+        "lambda1_nm": Number(gt=0.0),
+        "lambda2_nm": Number(gt=0.0),
+        "intensity1": Number(lo=0.0),
+        "intensity2": Number(lo=0.0),
+    },
+    attr="two_laser",
+)
+SCAN = Section(
+    ScanSettings,
+    {
+        "circles": ListOf(Choice(0, 1, 2)),
+        "base_count": Integer(lo=1),
+        "base_step_deg": Number(),
+        "two_phi_deg": ListOf(Number()),
+        "samples_per_point": Integer(lo=1, hi=MAX_SAMPLES),
+        "normalization": Choice("global", "per_circle"),
+    },
+)
+SHAKE = Section(
+    ShakeSettings,
+    {
+        "windows": Integer(lo=3, hi=MAX_COUNT),
+        "window_s": Number(gt=0.0),
+        "two_phi_deg": Number(),
+        "circle_index": Choice(0, 1, 2),
+        "base_angle_deg": Number(),
+    },
+)
+CHANNEL = Section(
+    ChannelSettings,
+    {
+        "axis": AXIS,
+        "retardance_mean_rad": Number(),
+        "retardance_sigma_rad": Number(lo=0.0),
+        "axis_diffusion_rad2_per_s": Number(lo=0.0),
+        "correlation_time_s": Number(gt=0.0),
+        "ref_wavelength_nm": OrNone(Number(gt=0.0)),
+        "seed": OrNone(Integer(lo=0)),
+    },
+)
+POLARIMETER = Section(
+    PolarimeterConfig,
+    {"integration_time_s": Number(gt=0.0), "noise_sigma_rel": Number(lo=0.0)},
+)
+CARRIER = Section(
+    CarrierSettings,
+    {
+        "carrier_nm": Number(gt=0.0),
+        "bitrate_hz": Number(gt=0.0),
+        "poincare": AXIS,
+        "intensity_split": ListOf(Number(lo=0.0), 3),
+    },
+    attr="carrier",
+)
+PMD = Section(
+    PmdSettings,
+    {
+        "axis": AXIS,
+        "dgd_start_s": Number(lo=0.0),
+        "dgd_stop_s": Number(gt=0.0),
+        "dgd_steps": Integer(lo=2, hi=MAX_COUNT),
+    },
+)
+CALIBRATION = Section(CalibrateSettings, {"samples": Integer(lo=1, hi=MAX_SAMPLES)}, attr="calibrate")
 
 
-def _parse_meter(node: _Node | None, default_noise: float) -> MeterConfig:
-    if node is None:
-        return MeterConfig(noise_sigma_rel=default_noise)
-    cfg = MeterConfig(
-        stack=_parse_stack(node.child("stack")),
-        visibility=node.get_number("visibility", 0.96, minimum=0.0, maximum=1.0),
-        stage_phase_rad=node.get_number("stage_phase_rad", 0.0),
-        gain=node.get_number("gain", 1.0, exclusive_min=0.0),
-        dark_offset=node.get_number("dark_offset", 0.0),
-        noise_sigma_rel=node.get_number("noise_sigma_rel", default_noise, minimum=0.0),
-        response_time_s=node.get_number("response_time_s", 1e-3, exclusive_min=0.0),
-        min_separation_nm=node.get_number("min_separation_nm", 1.5, minimum=0.0),
-    )
-    node.finish()
-    return cfg
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario: its CLI command, its sections by config key, the
+    defaults that differ by scenario (by field path), and the names of its
+    runner and writer in this module, looked up when called.  ``outputs``
+    maps the writer's path arguments, in order, to their default file
+    names; an output without one is written only when the config names it."""
+
+    command: str
+    sections: dict[str, Section]
+    run: str
+    write: str
+    outputs: dict[str, str | None]
+    defaults: dict[str, object] = field(default_factory=dict)
 
 
-def _normalized_axis(vec: tuple[float, ...], path: str) -> tuple[float, float, float]:
-    n = math.sqrt(sum(v * v for v in vec))
-    if not math.isfinite(n) or n == 0.0:
-        raise ConfigError(f"{path}: must be a finite nonzero 3-vector")
-    return (vec[0] / n, vec[1] / n, vec[2] / n)
+SCENARIOS = {
+    "fig2_scan": Scenario(
+        command="scan",
+        sections={"source": TWO_LASER, "scan": SCAN},
+        run="run_fig2_scan",
+        write="write_scan_outputs",
+        outputs={"records_csv": "scan.csv", "summary_json": "scan_summary.json"},
+        defaults={"meter.noise_sigma_rel": 0.15},
+    ),
+    "fig3_shake": Scenario(
+        command="shake",
+        sections={"source": TWO_LASER, "shake": SHAKE, "channel": CHANNEL, "polarimeter": POLARIMETER},
+        run="run_fig3_shake",
+        write="write_shake_outputs",
+        outputs={"records_csv": "shake.csv", "summary_json": "shake_summary.json", "trajectory_csv": None},
+        defaults={"dt_s": 1e-3, "meter.noise_sigma_rel": 0.15, "polarimeter.noise_sigma_rel": 0.01},
+    ),
+    "pmd_sweep": Scenario(
+        command="pmd",
+        sections={"source": CARRIER, "pmd": PMD},
+        run="run_pmd_sweep",
+        write="write_pmd_outputs",
+        outputs={"records_csv": "pmd.csv", "summary_json": "pmd_summary.json"},
+    ),
+    "calibrate": Scenario(
+        command="calibrate",
+        sections={"source": TWO_LASER, "calibration": CALIBRATION},
+        run="run_calibrate",
+        write="write_calibration_output",
+        outputs={"calibration_json": "calibration.json"},
+        defaults={"meter.noise_sigma_rel": 0.15},
+    ),
+}
 
-
-def _parse_two_laser(node: _Node | None) -> TwoLaserSettings:
-    if node is None:
-        return TwoLaserSettings()
-    settings = TwoLaserSettings(
-        lambda1_nm=node.get_number("lambda1_nm", 1552.0, exclusive_min=0.0),
-        lambda2_nm=node.get_number("lambda2_nm", 1554.0, exclusive_min=0.0),
-        intensity1=node.get_number("intensity1", 1.0, minimum=0.0),
-        intensity2=node.get_number("intensity2", 1.0, minimum=0.0),
-    )
-    node.finish()
-    if settings.lambda1_nm == settings.lambda2_nm:
-        raise ConfigError("source.lambda2_nm: must differ from lambda1_nm")
-    if settings.intensity1 + settings.intensity2 <= 0.0:
-        raise ConfigError("source.intensity1: total intensity must be > 0")
-    return settings
-
-
-def _parse_output(node: _Node | None) -> OutputPaths:
-    if node is None:
-        return OutputPaths()
-    out = OutputPaths(
-        records_csv=node.get("records_csv"),
-        summary_json=node.get("summary_json"),
-        trajectory_csv=node.get("trajectory_csv"),
-        calibration_json=node.get("calibration_json"),
-    )
-    node.finish()
-    for label in ("records_csv", "summary_json", "trajectory_csv", "calibration_json"):
-        value = getattr(out, label)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"output.{label}: expected a string path")
-    return out
+TOP_LEVEL = {
+    "scenario": Choice(*SCENARIOS),
+    "seed": OrNone(Integer(lo=0)),
+    "dt_s": Number(gt=0.0),
+    "meter": METER,
+    "output": OUTPUT,
+}
 
 
 def load_config(
@@ -320,190 +466,31 @@ def load_config(
     seed_override: int | None = None,
     noise_off: bool = False,
 ) -> ScenarioConfig:
-    """Validate a raw JSON document into a ScenarioConfig.
+    """Read a raw JSON document into a ScenarioConfig and ``check`` it.
 
     Seed precedence: explicit override, then the config value, then the
     DOPSIM_SEED environment variable, then 0.
     """
-    root = _Node(doc)
-    scenario = root.get_str("scenario", choices=set(SCENARIOS))
+    if not isinstance(doc, dict):
+        raise ConfigError("config: expected an object")
+    spec = SCENARIOS[TOP_LEVEL["scenario"].read(doc.get("scenario"), "scenario")]
+    cfg = Section(ScenarioConfig, {**TOP_LEVEL, **spec.sections}).read(doc, "", spec.defaults)
 
-    seed = root.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
-    if seed_override is not None:
-        seed = seed_override
+    seed, label = (cfg.seed if seed_override is None else seed_override), "seed"
     if seed is None:
-        env = os.environ.get(DEFAULT_SEED_ENV)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"{DEFAULT_SEED_ENV}: expected an integer, got {env!r}")
-    if seed is None:
-        seed = 0
-
-    default_dt = {"fig2_scan": 1.0, "fig3_shake": 1e-3, "pmd_sweep": 1.0, "calibrate": 1.0}[scenario]
-    dt_s = root.get_number("dt_s", default_dt, exclusive_min=0.0)
-
-    two_laser = scan = shake = channel = polarimeter = carrier = pmd = calibrate = None
-    default_meter_noise = 0.15 if scenario in ("fig2_scan", "fig3_shake", "calibrate") else 0.0
-    meter = _parse_meter(root.child("meter"), default_meter_noise)
-
-    if scenario == "fig2_scan":
-        two_laser = _parse_two_laser(root.child("source"))
-        node = root.child("scan")
-        if node is None:
-            scan = ScanSettings()
-        else:
-            circles = node.get("circles", [0, 1, 2])
-            if not isinstance(circles, list) or not circles or any(
-                isinstance(c, bool) or not isinstance(c, int) or c not in (0, 1, 2) for c in circles
-            ):
-                raise ConfigError("scan.circles: expected a non-empty list drawn from [0, 1, 2]")
-            levels = node.get("two_phi_deg", [float(x) for x in range(0, 100, 10)])
-            if not isinstance(levels, list) or not levels or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in levels
-            ):
-                raise ConfigError("scan.two_phi_deg: expected a non-empty list of angles")
-            scan = ScanSettings(
-                circles=tuple(circles),
-                base_count=node.get_int("base_count", 5, minimum=1),
-                base_step_deg=node.get_number("base_step_deg", 40.0),
-                two_phi_deg=tuple(float(v) for v in levels),
-                samples_per_point=node.get_int("samples_per_point", 1, minimum=1),
-                normalization=node.get_str("normalization", "global", choices={"global", "per_circle"}),
-            )
-            node.finish()
-        duration_s = scan.samples_per_point * dt_s
-    elif scenario == "fig3_shake":
-        two_laser = _parse_two_laser(root.child("source"))
-        node = root.child("shake")
-        if node is None:
-            shake = ShakeSettings()
-        else:
-            shake = ShakeSettings(
-                windows=node.get_int("windows", 10, minimum=3),
-                window_s=node.get_number("window_s", 10.0, exclusive_min=0.0),
-                two_phi_deg=node.get_number("two_phi_deg", 0.0),
-                circle_index=node.get_int("circle_index", 0),
-                base_angle_deg=node.get_number("base_angle_deg", 0.0),
-            )
-            node.finish()
-            if shake.circle_index not in (0, 1, 2):
-                raise ConfigError("shake.circle_index: must be 0, 1 or 2")
-        node = root.child("channel")
-        if node is None:
-            channel = ChannelSettings()
-        else:
-            chan_seed = None
-            if node.get("seed") is not None:
-                chan_seed = node.get_int("seed", minimum=0)
-            ref_wavelength = None
-            if node.get("ref_wavelength_nm") is not None:
-                ref_wavelength = node.get_number("ref_wavelength_nm", exclusive_min=0.0)
-            channel = ChannelSettings(
-                axis=_normalized_axis(
-                    node.get_vector("axis", 3, default=(0.0, 0.0, 1.0)), "channel.axis"
-                ),
-                retardance_mean_rad=node.get_number("retardance_mean_rad", 2.5),
-                retardance_sigma_rad=node.get_number("retardance_sigma_rad", 0.5, minimum=0.0),
-                axis_diffusion_rad2_per_s=node.get_number("axis_diffusion_rad2_per_s", 10.0, minimum=0.0),
-                correlation_time_s=node.get_number("correlation_time_s", 0.1, exclusive_min=0.0),
-                ref_wavelength_nm=ref_wavelength,
-                seed=chan_seed,
-            )
-            node.finish()
-        node = root.child("polarimeter")
-        if node is None:
-            polarimeter = PolarimeterConfig(integration_time_s=shake.window_s, noise_sigma_rel=0.01)
-        else:
-            polarimeter = PolarimeterConfig(
-                integration_time_s=node.get_number("integration_time_s", shake.window_s, exclusive_min=0.0),
-                noise_sigma_rel=node.get_number("noise_sigma_rel", 0.01, minimum=0.0),
-            )
-            node.finish()
-        duration_s = shake.windows * shake.window_s
-        window_samples = int(round(shake.window_s / dt_s))
-        if window_samples < 1:
-            raise ConfigError("shake.window_s: shorter than one sample interval")
-        integration_samples = int(round(polarimeter.integration_time_s / dt_s))
-        if integration_samples < 1:
-            raise ConfigError("polarimeter.integration_time_s: shorter than one sample interval")
-        if integration_samples > window_samples:
-            raise ConfigError(
-                f"polarimeter.integration_time_s: {polarimeter.integration_time_s} s exceeds "
-                f"shake.window_s ({shake.window_s} s)"
-            )
-    elif scenario == "pmd_sweep":
-        node = root.child("source")
-        if node is None:
-            carrier = CarrierSettings()
-        else:
-            carrier = CarrierSettings(
-                carrier_nm=node.get_number("carrier_nm", 1550.0, exclusive_min=0.0),
-                bitrate_hz=node.get_number("bitrate_hz", 2.0e11, exclusive_min=0.0),
-                poincare=_normalized_axis(
-                    node.get_vector("poincare", 3, default=(0.0, 0.0, 1.0)), "source.poincare"
-                ),
-                intensity_split=node.get_vector("intensity_split", 3, default=(0.25, 0.5, 0.25)),
-            )
-            node.finish()
-            if sum(carrier.intensity_split) <= 0.0 or any(w < 0.0 for w in carrier.intensity_split):
-                raise ConfigError("source.intensity_split: weights must be >= 0 with positive sum")
-        node = root.child("pmd")
-        if node is None:
-            pmd = PmdSettings()
-        else:
-            pmd = PmdSettings(
-                axis=_normalized_axis(
-                    node.get_vector("axis", 3, default=(1.0, 0.0, 0.0)), "pmd.axis"
-                ),
-                dgd_start_s=node.get_number("dgd_start_s", 0.0, minimum=0.0),
-                dgd_stop_s=node.get_number("dgd_stop_s", 2.5e-12, exclusive_min=0.0),
-                dgd_steps=node.get_int("dgd_steps", 26, minimum=2),
-            )
-            node.finish()
-            if pmd.dgd_stop_s <= pmd.dgd_start_s:
-                raise ConfigError("pmd.dgd_stop_s: must exceed dgd_start_s")
-        duration_s = dt_s
-    else:  # calibrate
-        two_laser = _parse_two_laser(root.child("source"))
-        node = root.child("calibration")
-        if node is None:
-            calibrate = CalibrateSettings()
-        else:
-            calibrate = CalibrateSettings(samples=node.get_int("samples", 1000, minimum=1))
-            node.finish()
-        duration_s = calibrate.samples * dt_s
-
-    output = _parse_output(root.child("output"))
-    root.finish()
+        env, label = os.environ.get(DEFAULT_SEED_ENV, "0"), DEFAULT_SEED_ENV
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"{DEFAULT_SEED_ENV}: expected an integer, got {env!r}")
+    cfg = replace(cfg, seed=Integer(lo=0).read(seed, label))
 
     if noise_off:
-        meter = replace(meter, noise_sigma_rel=0.0)
-        if polarimeter is not None:
-            polarimeter = replace(polarimeter, noise_sigma_rel=0.0)
-
-    if duration_s < dt_s:
-        raise ConfigError("duration_s: must cover at least one sample interval")
-
-    return ScenarioConfig(
-        scenario=scenario,
-        seed=seed,
-        dt_s=dt_s,
-        duration_s=duration_s,
-        meter=meter,
-        output=output,
-        two_laser=two_laser,
-        scan=scan,
-        shake=shake,
-        channel=channel,
-        polarimeter=polarimeter,
-        carrier=carrier,
-        pmd=pmd,
-        calibrate=calibrate,
-    )
+        cfg = replace(cfg, meter=replace(cfg.meter, noise_sigma_rel=0.0))
+        if cfg.polarimeter is not None:
+            cfg = replace(cfg, polarimeter=replace(cfg.polarimeter, noise_sigma_rel=0.0))
+    check(cfg)
+    return cfg
 
 
 def load_config_file(path: str | Path, **kwargs) -> ScenarioConfig:
@@ -515,6 +502,104 @@ def load_config_file(path: str | Path, **kwargs) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     return load_config(doc, **kwargs)
+
+
+def _check_pairs(
+    meter: MeterConfig,
+    wavelengths_nm: Sequence[float],
+    wavelength_field: str,
+    intensities: Sequence[float] | None = None,
+    intensity_field: str | None = None,
+) -> None:
+    """A line set the meter cannot see -- no pair within the acceptance, or
+    (given intensities) none with light in both lines -- is a config error
+    naming the field that emptied it; so is a pair whose intensity product,
+    the meter's weight for it, overflows."""
+    pairs = pair_table(wavelengths_nm, meter)
+    if not pairs:
+        raise ConfigError(
+            f"{wavelength_field}: no line pair within the meter acceptance "
+            f"({acceptance_bandwidth(meter.stack):.6g} nm)"
+        )
+    if intensities is None:
+        return
+    weights = [intensities[i] * intensities[j] for i, j, _ in pairs]
+    if not any(w > 0.0 for w in weights):
+        raise ConfigError(f"{intensity_field}: no line pair within the meter acceptance carries light")
+    if not all(map(math.isfinite, weights)):
+        raise ConfigError(f"{intensity_field}: the intensity product of a line pair overflows")
+
+
+def _samples(duration_s: float, dt_s: float, label: str) -> int:
+    """Whole samples of dt_s in duration_s: at least one, at most MAX_SAMPLES."""
+    ratio = duration_s / dt_s
+    if ratio > MAX_SAMPLES:
+        raise ConfigError(f"{label}: {ratio:.6g} samples exceed the cap of {MAX_SAMPLES}")
+    samples = round(ratio)
+    if samples < 1:
+        raise ConfigError(f"{label}: shorter than one sample interval")
+    return samples
+
+
+def check(cfg: ScenarioConfig) -> None:
+    """The rules that span fields or need the line set, each error naming a
+    field.  ``load_config`` runs them, so a config that loads -- and that
+    ``validate-config`` passes -- is one the scenario can measure."""
+    src, meter = cfg.two_laser, cfg.meter
+    if src is not None:
+        if src.lambda1_nm == src.lambda2_nm:
+            raise ConfigError("source.lambda2_nm: must differ from lambda1_nm")
+        if not 0.0 < src.intensity1 + src.intensity2 < math.inf:
+            raise ConfigError("source.intensity1: total intensity must be > 0 and finite")
+        if cfg.calibrate is not None:  # the references are balanced whatever the intensities
+            _check_pairs(meter, sorted([src.lambda1_nm, src.lambda2_nm]), "source.lambda2_nm")
+        else:
+            lines = sorted([(src.lambda1_nm, src.intensity1), (src.lambda2_nm, src.intensity2)])
+            intensity_field = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
+            wavelengths, intensities = [w for w, _ in lines], [i for _, i in lines]
+            _check_pairs(meter, wavelengths, "source.lambda2_nm", intensities, intensity_field)
+
+    scan = cfg.scan
+    if scan is not None:
+        points = len(scan.circles) * scan.base_count * len(scan.two_phi_deg)
+        if points > MAX_COUNT:
+            raise ConfigError(f"scan.base_count: {points} scan points exceed the cap of {MAX_COUNT}")
+        widest = (scan.base_count - 1) * abs(scan.base_step_deg) + max(map(abs, scan.two_phi_deg))
+        if not math.isfinite(widest):
+            raise ConfigError("scan.base_step_deg: the scan angles leave the float range")
+        # two pure lines 2phi apart on the sphere, on any circle, have 1 - DOP^2 = 4 w1 w2 sin^2(phi)
+        w1 = src.intensity1 / (src.intensity1 + src.intensity2)
+        k = 4.0 * w1 * (1.0 - w1)
+        one_minus_dop2 = [k * math.sin(math.radians(level) / 2.0) ** 2 for level in scan.two_phi_deg]
+        if max(one_minus_dop2) - min(one_minus_dop2) <= SCAN_MIN_SPREAD:
+            raise ConfigError("scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs")
+
+    shake = cfg.shake
+    if shake is not None:
+        if not math.isfinite(shake.base_angle_deg + shake.two_phi_deg):
+            raise ConfigError("shake.two_phi_deg: base_angle_deg + two_phi_deg leaves the float range")
+        window = _samples(shake.window_s, cfg.dt_s, "shake.window_s")
+        integration_s, label = cfg.polarimeter.integration_time_s, "polarimeter.integration_time_s"
+        if integration_s is not None and _samples(integration_s, cfg.dt_s, label) > window:
+            raise ConfigError(f"{label}: {integration_s} s exceeds shake.window_s ({shake.window_s} s)")
+
+    carrier = cfg.carrier
+    if carrier is not None:
+        if not 0.0 < sum(carrier.intensity_split) < math.inf:
+            raise ConfigError("source.intensity_split: weights must have a positive finite sum")
+        if not math.isfinite(carrier.carrier_nm * carrier.carrier_nm):
+            raise ConfigError("source.carrier_nm: the sideband offset lambda^2 f / c overflows")
+        offset = modulation_wavelength_offset_nm(carrier.carrier_nm, carrier.bitrate_hz)
+        wavelengths = (carrier.carrier_nm - offset, carrier.carrier_nm, carrier.carrier_nm + offset)
+        if not 0.0 < wavelengths[0] < wavelengths[1] < wavelengths[2] < math.inf:
+            raise ConfigError(f"source.bitrate_hz: sidebands {offset:.6g} nm off the carrier are not distinct lines")
+        _check_pairs(meter, wavelengths, "source.bitrate_hz", carrier.intensity_split, "source.intensity_split")
+        pmd = cfg.pmd
+        if pmd.dgd_stop_s <= pmd.dgd_start_s:
+            raise ConfigError("pmd.dgd_stop_s: must exceed dgd_start_s")
+        turns = pmd_turns(wavelengths, carrier.carrier_nm).tolist()
+        if not all(math.isfinite(pmd.dgd_stop_s * turn) for turn in turns):
+            raise ConfigError("pmd.dgd_stop_s: turns the sidebands by a non-finite angle")
 
 
 # ---------------------------------------------------------------------------
@@ -597,47 +682,12 @@ class ScanResult:
 BLOCK_SAMPLES = 2048
 
 
-#: Smallest spread of 1 - DOP^2 over a scan's points that a line fit can
-#: use.  Levels of one DOP -- one level repeated, or 2phi and 360 - 2phi --
-#: leave a spread of a few ULPs, and a fit through it reports slopes near
-#: 1e12; the records print 1 - DOP^2 to 12 digits, where it does not show.
-SCAN_MIN_SPREAD = 1e-12
-
-
-def _meter_pairs(
-    meter: MeterConfig,
-    wavelengths_nm: Sequence[float],
-    wavelength_field: str,
-    intensities: Sequence[float] | None = None,
-    intensity_field: str | None = None,
-) -> tuple[tuple[int, int, float], ...]:
-    """The line set's pair table.  A set the meter cannot see -- no pair
-    within the acceptance, or (given intensities) none with light in both
-    lines -- is a config error naming the field that emptied it."""
-    pairs = pair_table(wavelengths_nm, meter)
-    if not pairs:
-        raise ConfigError(
-            f"{wavelength_field}: no line pair within the meter acceptance "
-            f"({acceptance_bandwidth(meter.stack):.6g} nm)"
-        )
-    if intensities is not None and not any(intensities[i] * intensities[j] > 0.0 for i, j, _ in pairs):
-        raise ConfigError(f"{intensity_field}: no line pair within the meter acceptance carries light")
-    return pairs
-
-
-def _two_laser_pairs(cfg: ScenarioConfig) -> tuple[tuple[int, int, float], ...]:
-    src = cfg.two_laser
-    lines = sorted([(src.lambda1_nm, src.intensity1), (src.lambda2_nm, src.intensity2)])
-    dark = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
-    return _meter_pairs(cfg.meter, [w for w, _ in lines], "source.lambda2_nm", [i for _, i in lines], dark)
-
-
 def predicted_scan_line(cfg: ScenarioConfig) -> tuple[float, float]:
     """Analytic (slope, intercept) of readout vs 1 - DOP^2 for the meter and
     two-laser source in the config, valid for the noiseless model."""
     src = cfg.two_laser
     meter = cfg.meter
-    ((_, _, c),) = _two_laser_pairs(cfg)
+    ((_, _, c),) = pair_table(sorted([src.lambda1_nm, src.lambda2_nm]), meter)
     k = pair_normalization((src.intensity1, src.intensity2))
     slope = meter.gain * meter.visibility * (1.0 - c) / (4.0 * k)
     intercept = meter.dark_offset + meter.gain * (
@@ -659,11 +709,8 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     """All scan points in one array pass, in record order (circle, then base
     state, then level): the same records, bit for bit, as building one
     two-laser beam per point and reading it alone."""
-    if cfg.scenario != "fig2_scan":
-        raise ConfigError(f"scenario: expected fig2_scan, got {cfg.scenario}")
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
-    pairs = _two_laser_pairs(cfg)
 
     circle, base_idx, two_phi = (
         a.ravel()
@@ -678,13 +725,12 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     lines.sort(key=lambda line: line[0])
     wavelengths, intensities = [w for w, _, _ in lines], [i for _, i, _ in lines]
     mvecs = np.stack([m for _, _, m in lines], axis=1)
+    pairs = pair_table(wavelengths, meter)
 
     true_dop = mixture_dop_many(mvecs, intensities).tolist()
     # Python float ``**2`` (libm pow), which differs from x * x in the last bit for some x
     one_minus_dop2 = [1.0 - d**2 for d in true_dop]
     x = np.array(one_minus_dop2)
-    if np.ptp(x) <= SCAN_MIN_SPREAD:
-        raise ConfigError("scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs")
     beams = poincare_round_trip(mvecs)
     n = scan.samples_per_point
     block = max(1, BLOCK_SAMPLES // n)
@@ -810,8 +856,6 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     meter, inversion and polarimeter call on the batch of its windows, and
     one sphere-angle call: the same records, trajectory and channel stream,
     bit for bit, as advancing and reading the windows one by one."""
-    if cfg.scenario != "fig3_shake":
-        raise ConfigError(f"scenario: expected fig3_shake, got {cfg.scenario}")
     shake, src_cfg, chan, meter = cfg.shake, cfg.two_laser, cfg.channel, cfg.meter
     rng_channel, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
     channel_seed = chan.seed if chan.seed is not None else derived_seed
@@ -833,7 +877,7 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     )
     fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
     wavelengths, intensities = src.wavelengths_nm(), src.intensities()
-    pairs = _two_laser_pairs(cfg)
+    pairs = pair_table(wavelengths, meter)
     keep_trajectory = cfg.output.trajectory_csv is not None
 
     n = int(round(shake.window_s / cfg.dt_s))
@@ -981,8 +1025,6 @@ class PmdResult:
 def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
     """All DGD steps in one array pass: the same records, bit for bit, as
     applying one PmdElement per step and reading each beam alone."""
-    if cfg.scenario != "pmd_sweep":
-        raise ConfigError(f"scenario: expected pmd_sweep, got {cfg.scenario}")
     carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
 
@@ -991,17 +1033,13 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
         carrier.carrier_nm, carrier.bitrate_hz, m0, m0, m0, carrier.intensity_split
     )
     wavelengths, intensities = src0.wavelengths_nm(), src0.intensities()
-    pairs = _meter_pairs(meter, wavelengths, "source.bitrate_hz", intensities, "source.intensity_split")
+    pairs = pair_table(wavelengths, meter)
     axis = np.asarray(pmd.axis, dtype=float)
     axis_norm = np.linalg.norm(axis)
-    if axis_norm == 0.0:
-        raise ConfigError("pmd.axis: must be nonzero")
     alignment = abs(float(axis @ m0.as_array()) / (axis_norm * m0.norm()))
     degenerate = alignment > 1.0 - 1e-9
 
     dgd = np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps)
-    if not np.all(np.isfinite(dgd) & (dgd >= 0.0)):
-        raise InvariantError("PmdElement: dgd_s must be >= 0")
     # each step's lines as channel.apply_pmd turns them; zero DGD leaves the
     # source as built from m0
     angles = dgd[:, None] * pmd_turns(wavelengths, carrier.carrier_nm)
@@ -1048,13 +1086,11 @@ def write_pmd_outputs(result: PmdResult, records_csv: str | Path, summary_json: 
 def run_calibrate(cfg: ScenarioConfig) -> dict:
     """Measure a DOP-1 and a DOP-0 balanced reference through the configured
     meter and solve for (gain, dark_offset); returns the calibration record."""
-    if cfg.scenario != "calibrate":
-        raise ConfigError(f"scenario: expected calibrate, got {cfg.scenario}")
     src_cfg, meter = cfg.two_laser, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
     # the references are balanced whatever the configured intensities
-    pairs = _meter_pairs(meter, sorted([src_cfg.lambda1_nm, src_cfg.lambda2_nm]), "source.lambda2_nm")
+    pairs = pair_table(sorted([src_cfg.lambda1_nm, src_cfg.lambda2_nm]), meter)
     ((_, _, contamination),) = pairs
 
     m_base, m_anti = great_circle_pair(0, 0.0, 180.0)

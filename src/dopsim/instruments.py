@@ -123,11 +123,12 @@ class MeterConfig:
 
 @dataclass(frozen=True)
 class PolarimeterConfig:
-    integration_time_s: float
+    #: None: one integration window per trace
+    integration_time_s: float | None = None
     noise_sigma_rel: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.integration_time_s <= 0.0:
+        if self.integration_time_s is not None and self.integration_time_s <= 0.0:
             raise InvariantError("PolarimeterConfig: integration_time_s must be > 0")
         if self.noise_sigma_rel < 0.0:
             raise InvariantError("PolarimeterConfig: noise_sigma_rel must be >= 0")
@@ -306,7 +307,8 @@ def singlet_meter_raw(
         pairs = pair_table(trace.wavelengths, cfg)
 
     intensities, mvecs = trace.intensities, trace.poincare
-    window = max(1, int(round(cfg.response_time_s / trace.dt_s)))
+    # a window as long as the trace reads like any longer one
+    window = max(1, int(round(min(cfg.response_time_s / trace.dt_s, len(trace)))))
     s0 = _trailing_mean(intensities, window, axis=-2)
     svec = _trailing_mean(intensities[..., None] * mvecs, window, axis=-3)
     safe_s0 = np.where(s0 > 0.0, s0, 1.0)
@@ -413,7 +415,10 @@ def polarimeter_dop(
     """
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("polarimeter_dop: noisy config needs an explicit rng")
-    window = int(round(cfg.integration_time_s / trace.dt_s))
+    if cfg.integration_time_s is None:
+        window = len(trace)
+    else:
+        window = int(round(cfg.integration_time_s / trace.dt_s))
     if window < 1 or len(trace) < window:
         raise InvariantError("polarimeter_dop: trace shorter than the integration time")
 

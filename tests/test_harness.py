@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import dopsim
+from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import (
     ConfigError,
@@ -89,6 +91,42 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="seed"):
             load_config({"scenario": "fig2_scan", "seed": -3})
 
+    @pytest.mark.parametrize(
+        "levels,accepted",
+        [([0, 180], True), ([0, 1e-3], True), ([0, 1e-4], False), ([90, 270], False), ([170, 190], False)],
+    )
+    def test_scan_levels_need_two_distinct_dops(self, levels, accepted):
+        # 1 - DOP^2 = sin^2(phi) for balanced lines 2phi apart: 7.6e-11 at 1e-3 deg, 7.6e-13 at 1e-4 deg
+        doc = {"scenario": "fig2_scan", "scan": {"two_phi_deg": levels}}
+        if accepted:
+            assert load_config(doc).scan.two_phi_deg == tuple(float(v) for v in levels)
+        else:
+            with pytest.raises(ConfigError, match=r"^scan\.two_phi_deg: "):
+                load_config(doc)
+
+    def test_readme_config_table_lists_each_sections_keys(self):
+        # one row per section: its key path and the keys of its rules
+        expected = set()
+
+        def walk(rules, prefix):
+            for key, rule in rules.items():
+                if isinstance(rule, harness.Section):
+                    expected.add((prefix + key, tuple(sorted(rule.rules))))
+                    walk(rule.rules, f"{prefix}{key}.")
+
+        for spec in harness.SCENARIOS.values():
+            walk({**harness.TOP_LEVEL, **spec.sections}, "")
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("### Config reference")[1].split("\n### ")[0]
+        rows = [line.strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
+        documented = [
+            # a key is the first backquoted name of each entry, outside the parenthesised notes
+            (re.search(r"`([\w.]+)`", section).group(1),
+             tuple(sorted(re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", keys)))))
+            for section, keys in rows
+        ]
+        assert sorted(documented) == sorted(expected)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -167,6 +205,10 @@ class TestShake:
         for r in result.records:
             assert abs(r.polarimeter_dop - r.meter_dop) < 1e-6
 
+    def test_default_integration_is_one_window(self):
+        explicit = dict(SMALL_SHAKE, polarimeter={"integration_time_s": SMALL_SHAKE["shake"]["window_s"]})
+        assert run_fig3_shake(load_config(SMALL_SHAKE)).records == run_fig3_shake(load_config(explicit)).records
+
     def test_angular_coverage_reported(self):
         result = run_fig3_shake(load_config(SMALL_SHAKE))
         assert result.summary["scrambling_mean_deflection_rad"] > 0.3
@@ -226,6 +268,52 @@ class TestCalibrate:
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+EMPTY_MEASUREMENTS = {
+    "scan_far_lines": (
+        "scan", {"scenario": "fig2_scan", "source": {"lambda2_nm": 1600}},
+        "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)",
+    ),
+    "calibrate_far_lines": (
+        "calibrate", {"scenario": "calibrate", "source": {"lambda2_nm": 1600}},
+        "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)",
+    ),
+    "pmd_far_sidebands": (
+        "pmd", {"scenario": "pmd_sweep", "source": {"bitrate_hz": 2e13}},
+        "source.bitrate_hz: no line pair within the meter acceptance (4.5 nm)",
+    ),
+    "shake_far_lines": (
+        "shake", dict(SMALL_SHAKE, source={"lambda2_nm": 1600}),
+        "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)",
+    ),
+    "scan_dark_line": (
+        "scan", {"scenario": "fig2_scan", "source": {"intensity1": 0}},
+        "source.intensity1: no line pair within the meter acceptance carries light",
+    ),
+    "pmd_dark_sidebands": (
+        "pmd", {"scenario": "pmd_sweep", "source": {"intensity_split": [0, 1, 0]}},
+        "source.intensity_split: no line pair within the meter acceptance carries light",
+    ),
+    "scan_one_level": (
+        "scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [0]}},
+        "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs",
+    ),
+    "scan_one_point": (
+        "scan",
+        {"scenario": "fig2_scan", "scan": {"circles": [0], "base_count": 1, "two_phi_deg": [0]},
+         "meter": {"noise_sigma_rel": 0.0}},
+        "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs",
+    ),
+    "scan_one_dop_level": (
+        "scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [10, 350, -10, 370]}},
+        "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs",
+    ),
+    "scan_zero_visibility": (
+        "scan", {"scenario": "fig2_scan", "meter": {"visibility": 0}},
+        "meter.visibility: must be > 0.0, got 0.0",
+    ),
+}
 
 
 class TestCli:
@@ -296,38 +384,19 @@ class TestCli:
         assert path in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command,doc,message",
-        [
-            ("scan", {"scenario": "fig2_scan", "source": {"lambda2_nm": 1600}},
-             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
-            ("calibrate", {"scenario": "calibrate", "source": {"lambda2_nm": 1600}},
-             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
-            ("pmd", {"scenario": "pmd_sweep", "source": {"bitrate_hz": 2e13}},
-             "source.bitrate_hz: no line pair within the meter acceptance (4.5 nm)"),
-            ("shake", dict(SMALL_SHAKE, source={"lambda2_nm": 1600}),
-             "source.lambda2_nm: no line pair within the meter acceptance (4.5 nm)"),
-            ("scan", {"scenario": "fig2_scan", "source": {"intensity1": 0}},
-             "source.intensity1: no line pair within the meter acceptance carries light"),
-            ("pmd", {"scenario": "pmd_sweep", "source": {"intensity_split": [0, 1, 0]}},
-             "source.intensity_split: no line pair within the meter acceptance carries light"),
-            ("scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [0]}},
-             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
-            ("scan", {"scenario": "fig2_scan", "scan": {"circles": [0], "base_count": 1, "two_phi_deg": [0]},
-                      "meter": {"noise_sigma_rel": 0.0}},
-             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
-            ("scan", {"scenario": "fig2_scan", "scan": {"two_phi_deg": [10, 350, -10, 370]}},
-             "scan.two_phi_deg: a line fit needs levels of at least two distinct DOPs"),
-        ],
-        ids=["scan_far_lines", "calibrate_far_lines", "pmd_far_sidebands", "shake_far_lines",
-             "scan_dark_line", "pmd_dark_sidebands", "scan_one_level", "scan_one_point",
-             "scan_one_dop_level"],
+        "case,validate",
+        [(case, False) for case in EMPTY_MEASUREMENTS] + [(case, True) for case in EMPTY_MEASUREMENTS],
+        ids=list(EMPTY_MEASUREMENTS) + [f"{case}_validate" for case in EMPTY_MEASUREMENTS],
     )
-    def test_empty_measurement_exits_2_naming_field(self, tmp_path, capsys, command, doc, message):
-        # the meter sees no line pair: flagged, not reported as a fit or a calibration
+    def test_empty_measurement_exits_2_naming_field(self, tmp_path, capsys, case, validate):
+        # the meter sees no signal: flagged when the config loads -- by
+        # validate-config as by the run -- not reported as a fit or a calibration
+        command, doc, message = EMPTY_MEASUREMENTS[case]
         config = write_json(tmp_path / "empty.json", doc)
-        assert cli_main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+        run = [command, "--config", config, "--out", str(tmp_path / "out")]
+        assert cli_main(["validate-config", config] if validate else run) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_pmd_and_calibrate_commands(self, tmp_path):
         pmd_path = write_json(tmp_path / "pmd.json", {"scenario": "pmd_sweep"})

@@ -12,6 +12,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,20 @@ def pmd_docs(draw):
     }
 
 
+def point_beams(source, scan):
+    """Each scan point's two-laser beam, in record order: (circle, base_idx,
+    two_phi, beam), from the ``source`` and ``scan`` sections as dicts."""
+    for circle in scan["circles"]:
+        for base_idx in range(scan["base_count"]):
+            base_angle = base_idx * scan["base_step_deg"]
+            for two_phi in scan["two_phi_deg"]:
+                m1, m2 = great_circle_pair(circle, base_angle, two_phi)
+                beam = two_laser_source(
+                    source["lambda1_nm"], source["lambda2_nm"], source["intensity1"], source["intensity2"], m1, m2
+                )
+                yield circle, base_idx, float(two_phi), beam
+
+
 def per_point_scan(cfg):
     """The scan as one two-laser beam and one meter call per point: (records, summary)."""
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
@@ -102,32 +117,23 @@ def per_point_scan(cfg):
     noisy = meter.noise_sigma_rel > 0.0
 
     records = []
-    for circle in scan.circles:
-        for base_idx in range(scan.base_count):
-            base_angle = base_idx * scan.base_step_deg
-            for two_phi in scan.two_phi_deg:
-                m1, m2 = great_circle_pair(circle, base_angle, two_phi)
-                src = two_laser_source(
-                    src_cfg.lambda1_nm, src_cfg.lambda2_nm, src_cfg.intensity1, src_cfg.intensity2, m1, m2
-                )
-                trace = PolarizationTrace.static(src, scan.samples_per_point, cfg.dt_s)
-                readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
-                true_dop = source_dop(src)
-                records.append(
-                    ScanRecord(
-                        circle=circle,
-                        base_idx=base_idx,
-                        two_phi_deg=float(two_phi),
-                        true_dop=true_dop,
-                        one_minus_dop2=1.0 - true_dop**2,
-                        readout_mean=float(readout.mean()),
-                        readout_std=float(readout.std()),
-                    )
-                )
+    for circle, base_idx, two_phi, src in point_beams(dataclasses.asdict(src_cfg), dataclasses.asdict(scan)):
+        trace = PolarizationTrace.static(src, scan.samples_per_point, cfg.dt_s)
+        readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
+        true_dop = source_dop(src)
+        records.append(
+            ScanRecord(
+                circle=circle,
+                base_idx=base_idx,
+                two_phi_deg=two_phi,
+                true_dop=true_dop,
+                one_minus_dop2=1.0 - true_dop**2,
+                readout_mean=float(readout.mean()),
+                readout_std=float(readout.std()),
+            )
+        )
 
     x = np.array([r.one_minus_dop2 for r in records])
-    if x.max() - x.min() <= 1e-12:
-        raise ConfigError("scan.two_phi_deg: levels of one DOP leave no line to fit")
     y = np.array([r.readout_mean for r in records])
     slope, intercept, r_squared = _affine_fit(x, y)
     separation = abs(src_cfg.lambda1_nm - src_cfg.lambda2_nm)
@@ -219,15 +225,6 @@ def per_point_pmd(cfg):
     return records, summary
 
 
-def outcome(run, cfg):
-    """(records, summary), or the type of the error the run raised -- a
-    scan whose points all share one 1 - DOP^2 has no line to fit."""
-    try:
-        return run(cfg)
-    except Exception as exc:  # noqa: BLE001 -- both paths must fail alike
-        return type(exc)
-
-
 def record_columns(records):
     return np.array([dataclasses.astuple(r) for r in records], dtype=float)
 
@@ -252,15 +249,18 @@ def assert_same(got, expected, where="summary"):
 @SETTINGS
 @given(doc=scan_docs(), block=st.sampled_from([7, harness.BLOCK_SAMPLES]))
 def test_scan_equals_per_point_scan(doc, block):
+    # points that all share one 1 - DOP^2 leave no line to fit: such a
+    # config, and only such a config, is rejected when it loads
+    one_minus_dop2 = [1.0 - source_dop(beam) ** 2 for *_, beam in point_beams(doc["source"], doc["scan"])]
+    if max(one_minus_dop2) - min(one_minus_dop2) <= 1e-12:
+        with pytest.raises(ConfigError, match=r"^scan\.two_phi_deg: "):
+            load_config(doc)
+        return
     cfg = load_config(doc)
     # a small block splits the meter pass into several calls; the records must not move
     with mock.patch.object(harness, "BLOCK_SAMPLES", block):
-        result = outcome(harness.run_fig2_scan, cfg)
-    expected = outcome(per_point_scan, cfg)
-    if isinstance(expected, type):
-        assert result is expected
-        return
-    records, summary = expected
+        result = harness.run_fig2_scan(cfg)
+    records, summary = per_point_scan(cfg)
     assert result.records == records
     assert np.array_equal(record_columns(result.records), record_columns(records))
     assert_same(result.summary, summary)
