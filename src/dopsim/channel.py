@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -255,19 +254,3 @@ def angle_preservation_error(src: SourceSpec, fiber: FiberState) -> float:
     out = apply_fiber(src, fiber)
     after = poincare_angle(out.lines[0].poincare(), out.lines[1].poincare())
     return abs(after - before)
-
-
-def write_trajectory_csv(
-    path: str | Path, times_s: Sequence[float], axes, retardances: Sequence[float]
-) -> None:
-    """Dump a fiber trajectory as CSV rows: time_s, axis1..3, retardance_rad."""
-    times = np.asarray(times_s, dtype=float).tolist()
-    axes = np.asarray(axes, dtype=float).reshape(-1, 3).tolist()
-    retardances = np.asarray(retardances, dtype=float).tolist()
-    if not len(times) == len(axes) == len(retardances):
-        raise InvariantError("write_trajectory_csv: times and states must align")
-    # the bytes csv.writer gives (no field needs quoting), at two thirds of its cost
-    row = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,axis1,axis2,axis3,retardance_rad\r\n")
-        fh.writelines(row % (t, a1, a2, a3, r) for t, (a1, a2, a3), r in zip(times, axes, retardances))

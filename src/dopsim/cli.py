@@ -36,16 +36,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_output(configured: str | None, default_name: str | None, out_dir: str | None) -> Path | None:
-    """Where one output goes; None for an optional output the config does not name."""
+def _resolve_output(key: str, configured: str | None, default_name: str | None, out_dir: str | None) -> Path | None:
+    """Where one output goes; None for an optional output the config does
+    not name.  A directory that does not exist, or a path that is one, is a
+    config error."""
     name = configured or default_name
     if name is None:
         return None
     path = Path(name)
     if out_dir is not None:
         directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot make directory {out_dir!r} ({exc.strerror or exc})")
         path = directory / path.name
+    if not path.parent.is_dir():
+        raise ConfigError(f"output.{key}: directory does not exist")
+    if path.is_dir():
+        raise ConfigError(f"output.{key}: is a directory")
     return path
 
 
@@ -55,11 +64,15 @@ def _run_scenario(args: argparse.Namespace) -> int:
     if spec.command != args.command:
         expected = next(name for name, s in SCENARIOS.items() if s.command == args.command)
         raise ConfigError(f"scenario: config declares {cfg.scenario!r}, command expects {expected!r}")
+    # every output is resolved before the run, which writes the streamed ones
+    paths = {
+        key: _resolve_output(key, getattr(cfg.output, key), name, args.out) for key, name in spec.outputs.items()
+    }
+    streamed = {key: paths.pop(key) for key in spec.streamed}
     # runner and writer are looked up on the module at call time, so a
     # wrapper installed there (a tracer, a test spy) is the one called
-    result = getattr(harness, spec.run)(cfg)
-    paths = [_resolve_output(getattr(cfg.output, key), name, args.out) for key, name in spec.outputs.items()]
-    getattr(harness, spec.write)(result, *paths)
+    result = getattr(harness, spec.run)(cfg, **streamed)
+    getattr(harness, spec.write)(result, *paths.values())
     return 0
 
 
@@ -71,11 +84,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "validate-config":
-            cfg = load_config_file(args.config_path)
-            print(f"OK: {args.config_path} ({cfg.scenario}, seed {cfg.seed})")
-            return 0
-        return _run_scenario(args)
+        # a value that leaves the float range is a numerical failure, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "validate-config":
+                cfg = load_config_file(args.config_path)
+                print(f"OK: {args.config_path} ({cfg.scenario}, seed {cfg.seed})")
+                return 0
+            return _run_scenario(args)
     except (NumericsError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +33,6 @@ from .channel import (
     evolve_window,
     fiber_trace,
     pmd_turns,
-    write_trajectory_csv,
 )
 from .instruments import (
     CrystalStack,
@@ -407,8 +408,10 @@ class Scenario:
     """One scenario: its CLI command, its sections by config key, the
     defaults that differ by scenario (by field path), and the names of its
     runner and writer in this module, looked up when called.  ``outputs``
-    maps the writer's path arguments, in order, to their default file
-    names; an output without one is written only when the config names it."""
+    maps each output to its default file name; an output without one is
+    written only when the config names it.  The runner takes the
+    ``streamed`` outputs by keyword and writes them as it runs; the writer
+    takes the others, in order, after the run."""
 
     command: str
     sections: dict[str, Section]
@@ -416,6 +419,7 @@ class Scenario:
     write: str
     outputs: dict[str, str | None]
     defaults: dict[str, object] = field(default_factory=dict)
+    streamed: tuple[str, ...] = ()
 
 
 SCENARIOS = {
@@ -434,6 +438,7 @@ SCENARIOS = {
         write="write_shake_outputs",
         outputs={"records_csv": "shake.csv", "summary_json": "shake_summary.json", "trajectory_csv": None},
         defaults={"dt_s": 1e-3, "meter.noise_sigma_rel": 0.15, "polarimeter.noise_sigma_rel": 0.01},
+        streamed=("trajectory_csv",),
     ),
     "pmd_sweep": Scenario(
         command="pmd",
@@ -578,6 +583,10 @@ def check(cfg: ScenarioConfig) -> None:
     if shake is not None:
         if not math.isfinite(shake.base_angle_deg + shake.two_phi_deg):
             raise ConfigError("shake.two_phi_deg: base_angle_deg + two_phi_deg leaves the float range")
+        total = src.intensity1 + src.intensity2
+        if not math.isfinite(total * total):  # the polarimeter's |S|^2 <= S0^2
+            heavier = "source.intensity1" if src.intensity1 >= src.intensity2 else "source.intensity2"
+            raise ConfigError(f"{heavier}: the squared Stokes magnitude (intensity1 + intensity2)^2 overflows")
         window = _samples(shake.window_s, cfg.dt_s, "shake.window_s")
         integration_s, label = cfg.polarimeter.integration_time_s, "polarimeter.integration_time_s"
         if integration_s is not None and _samples(integration_s, cfg.dt_s, label) > window:
@@ -619,13 +628,47 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.ra
     )
 
 
-def _write_csv(path: str | Path, header: Sequence[str], row_template: str, rows) -> None:
-    """CSV with CRLF line ends, each row rendered by one %-template: ``%d``
-    for integers and booleans (1/0), ``%.12g`` for floats.  No field needs
-    quoting, so these are the bytes csv.writer gives."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_template % row for row in rows)
+#: Rows one template renders at most; also the samples one instrument call
+#: holds at most, unless one scan point or shake window is longer: the scan
+#: and the shake runners go in blocks of whole points or windows, so memory
+#: does not grow with the run length.
+BLOCK_SAMPLES = 2048
+
+
+@contextmanager
+def csv_writer(path: str | Path, header: Sequence[str], row_template: str):
+    """Write a CSV file in blocks: ``with csv_writer(...) as write`` gives a
+    ``write(rows)`` that appends ``rows``, a 2-D array or a list of tuples,
+    one CSV row each.
+
+    CRLF line ends, each row rendered by ``row_template``: ``%d`` for integers
+    and booleans (1/0), ``%.12g`` for floats.  No field needs quoting, so
+    these are the bytes csv.writer gives.  Each block of at most
+    ``BLOCK_SAMPLES`` rows is rendered by one %-operation, the template
+    repeated once per row, on the block's values in row order.  The file is
+    written under a temporary name beside ``path`` and renamed onto it when
+    the ``with`` block ends; an exception removes it, so a failed run leaves
+    no partial file.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+
+            def write(rows) -> None:
+                for lo in range(0, len(rows), BLOCK_SAMPLES):
+                    block = rows[lo:lo + BLOCK_SAMPLES]
+                    # an array's values go to Python floats in one call; tuples already hold them
+                    values = block.ravel().tolist() if isinstance(block, np.ndarray) else chain.from_iterable(block)
+                    fh.write(row_template * len(block) % tuple(values))
+
+            yield write
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _json_ready(obj):
@@ -674,12 +717,6 @@ class ScanResult:
     predicted_intercept: float
     per_level: list[dict]
     summary: dict
-
-
-#: Samples one instrument call holds at most, unless one scan point or
-#: shake window is longer: the scan and the shake runners go in blocks of
-#: whole points or windows, so memory does not grow with the run length.
-BLOCK_SAMPLES = 2048
 
 
 def predicted_scan_line(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -756,13 +793,16 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     per_level = []
     richest = x == x.max()
     global_ref = float(np.mean(readout_mean[richest]))
+    # per circle, the reference is the circle's points at the level of the
+    # richest point: 1 - DOP^2 of one level differs by ULPs across circles
+    reference_level = two_phi == two_phi[np.argmax(x)]
     for level_deg in scan.two_phi_deg:
         at_level = two_phi == float(level_deg)
         values = readout_mean[at_level]
         if cfg.scan.normalization == "per_circle":
             normalized = []
             for c in scan.circles:
-                ref = np.mean(readout_mean[(circle == c) & richest])
+                ref = np.mean(readout_mean[(circle == c) & reference_level])
                 if ref > 0:
                     normalized.append(readout_mean[at_level & (circle == c)] / ref)
             norm_mean = float(np.mean(np.concatenate(normalized))) if normalized else math.nan
@@ -802,15 +842,11 @@ SCAN_CSV_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
 def write_scan_outputs(result: ScanResult, records_csv: str | Path, summary_json: str | Path) -> None:
-    _write_csv(
-        records_csv,
-        SCAN_CSV_HEADER,
-        SCAN_CSV_ROW,
-        (
+    with csv_writer(records_csv, SCAN_CSV_HEADER, SCAN_CSV_ROW) as write:
+        write([
             (r.circle, r.base_idx, r.two_phi_deg, r.true_dop, r.one_minus_dop2, r.readout_mean, r.readout_std)
             for r in result.records
-        ),
-    )
+        ])
     _write_json(summary_json, result.summary)
 
 
@@ -826,16 +862,11 @@ class ShakeRecord:
     polarimeter_dop: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ShakeResult:
     records: list[ShakeRecord]
     reference_meter_dop: float
     summary: dict
-    #: fiber trajectory, one row per sample: times_s (n,), axes (n, 3),
-    #: retardances (n,); kept only when the config asks for a trajectory CSV
-    times_s: np.ndarray | None = None
-    axes: np.ndarray | None = None
-    retardances: np.ndarray | None = None
 
 
 def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -849,13 +880,23 @@ def _held_fiber(fiber: FiberState, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3)), np.full(n, fiber.retardance_ref_rad)
 
 
-def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
+TRAJECTORY_CSV_HEADER = ("time_s", "axis1", "axis2", "axis3", "retardance_rad")
+TRAJECTORY_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
+
+
+def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None) -> ShakeResult:
     """The shake run in blocks of whole windows, at most ``BLOCK_SAMPLES``
     samples each (one window when a window is longer).  A block takes one
     ``evolve_window`` call for its shaken windows, one ``fiber_trace``, one
     meter, inversion and polarimeter call on the batch of its windows, and
-    one sphere-angle call: the same records, trajectory and channel stream,
-    bit for bit, as advancing and reading the windows one by one."""
+    one sphere-angle call: the same records and channel stream, bit for bit,
+    as advancing and reading the windows one by one.
+
+    Given ``trajectory_csv``, each block's fiber states go there as the block
+    is made, one row per sample (time_s, axis1..3, retardance_rad), so memory
+    does not grow with the run length; the file takes its name when the run
+    ends and is removed if the run fails.
+    """
     shake, src_cfg, chan, meter = cfg.shake, cfg.two_laser, cfg.channel, cfg.meter
     rng_channel, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
     channel_seed = chan.seed if chan.seed is not None else derived_seed
@@ -878,7 +919,6 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
     wavelengths, intensities = src.wavelengths_nm(), src.intensities()
     pairs = pair_table(wavelengths, meter)
-    keep_trajectory = cfg.output.trajectory_csv is not None
 
     n = int(round(shake.window_s / cfg.dt_s))
     last = shake.windows - 1  # the first and last windows are unshaken
@@ -887,62 +927,64 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
     pol_noisy = cfg.polarimeter.noise_sigma_rel > 0.0
 
     records: list[ShakeRecord] = []
-    axes_path: list[np.ndarray] = []
-    retardance_path: list[np.ndarray] = []
-    deflections: list[np.ndarray] = []
-    for lo in range(0, shake.windows, block):
-        hi = min(lo + block, shake.windows)
-        first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
-        segments = []
-        if lo == 0:
-            segments.append(_held_fiber(fiber, n))
-        if first < stop:
-            walk = evolve_window(fiber, cfg.dt_s, (stop - first) * n, process, rng_channel)
-            segments.append(walk)
-            fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), ref_wavelength)
-        if hi > last:
-            segments.append(_held_fiber(fiber, n))
-        axes = np.concatenate([a for a, _ in segments])
-        retardances = np.concatenate([r for _, r in segments])
-        if keep_trajectory:
-            axes_path.append(axes)
-            retardance_path.append(retardances)
+    deflection_sum, deflection_max = 0.0, 0.0  # over the shaken samples
+    trajectory = nullcontext() if trajectory_csv is None else csv_writer(
+        trajectory_csv, TRAJECTORY_CSV_HEADER, TRAJECTORY_CSV_ROW
+    )
+    with trajectory as write_trajectory:
+        for lo in range(0, shake.windows, block):
+            hi = min(lo + block, shake.windows)
+            first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
+            segments = []
+            if lo == 0:
+                segments.append(_held_fiber(fiber, n))
+            if first < stop:
+                walk = evolve_window(fiber, cfg.dt_s, (stop - first) * n, process, rng_channel)
+                segments.append(walk)
+                fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), ref_wavelength)
+            if hi > last:
+                segments.append(_held_fiber(fiber, n))
+            axes = np.concatenate([a for a, _ in segments])
+            retardances = np.concatenate([r for _, r in segments])
+            if write_trajectory is not None:
+                write_trajectory(np.column_stack((np.arange(lo * n, hi * n) * cfg.dt_s, axes, retardances)))
 
-        lines = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
-        batch = (hi - lo, n, len(wavelengths))  # the block's windows as a batch of beams
-        trace = PolarizationTrace(
-            cfg.dt_s,
-            lines.wavelengths,
-            np.broadcast_to(lines.intensities[0], batch),
-            lines.poincare.reshape(batch + (3,)),
-        )
-        line1 = lines.poincare[:, 0, :]
-        if lo == 0:
-            reference_m1 = line1[0]
-        if first < stop:
-            deflections.append(_sphere_angles(line1[(first - lo) * n:(stop - lo) * n], reference_m1))
-
-        readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs).mean(axis=1)
-        estimate = invert_meter_readout(readout_mean, meter, wavelengths, intensities, pairs)
-        pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None).mean(axis=1)
-        records.extend(
-            ShakeRecord(
-                window=window,
-                t_start_s=window * shake.window_s,
-                t_end_s=(window + 1) * shake.window_s,
-                shaken=0 < window < last,
-                meter_readout_mean=r,
-                meter_dop=d,
-                meter_clipped=c,
-                polarimeter_dop=p,
+            lines = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
+            batch = (hi - lo, n, len(wavelengths))  # the block's windows as a batch of beams
+            trace = PolarizationTrace(
+                cfg.dt_s,
+                lines.wavelengths,
+                np.broadcast_to(lines.intensities[0], batch),
+                lines.poincare.reshape(batch + (3,)),
             )
-            for window, r, d, c, p in zip(
-                range(lo, hi), readout_mean.tolist(), estimate.dop.tolist(), estimate.clipped.tolist(),
-                pol.tolist(),
-            )
-        )
+            line1 = lines.poincare[:, 0, :]
+            if lo == 0:
+                reference_m1 = line1[0]
+            if first < stop:
+                angles = _sphere_angles(line1[(first - lo) * n:(stop - lo) * n], reference_m1)
+                deflection_sum += float(angles.sum())
+                deflection_max = max(deflection_max, float(angles.max()))
 
-    deflection = np.concatenate(deflections) if deflections else np.zeros(0)
+            readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs).mean(axis=1)
+            estimate = invert_meter_readout(readout_mean, meter, wavelengths, intensities, pairs)
+            pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None).mean(axis=1)
+            records.extend(
+                ShakeRecord(
+                    window=window,
+                    t_start_s=window * shake.window_s,
+                    t_end_s=(window + 1) * shake.window_s,
+                    shaken=0 < window < last,
+                    meter_readout_mean=r,
+                    meter_dop=d,
+                    meter_clipped=c,
+                    polarimeter_dop=p,
+                )
+                for window, r, d, c, p in zip(
+                    range(lo, hi), readout_mean.tolist(), estimate.dop.tolist(), estimate.clipped.tolist(),
+                    pol.tolist(),
+                )
+            )
+
     reference = 0.5 * (records[0].meter_dop + records[-1].meter_dop)
     shaken_records = [r for r in records if r.shaken]
     summary = {
@@ -956,23 +998,13 @@ def run_fig3_shake(cfg: ScenarioConfig) -> ShakeResult:
         "reference_meter_dop": reference,
         "reference_polarimeter_dop": 0.5 * (records[0].polarimeter_dop + records[-1].polarimeter_dop),
         "max_meter_deviation": max(abs(r.meter_dop - reference) for r in records),
-        "min_shaken_polarimeter_dop": min((r.polarimeter_dop for r in shaken_records), default=math.nan),
-        "mean_shaken_polarimeter_dop": (
-            float(np.mean([r.polarimeter_dop for r in shaken_records])) if shaken_records else math.nan
-        ),
-        "scrambling_mean_deflection_rad": float(np.mean(deflection)) if deflection.size else 0.0,
-        "scrambling_max_deflection_rad": float(np.max(deflection)) if deflection.size else 0.0,
+        "min_shaken_polarimeter_dop": min(r.polarimeter_dop for r in shaken_records),
+        "mean_shaken_polarimeter_dop": float(np.mean([r.polarimeter_dop for r in shaken_records])),
+        # windows >= 3, so at least one window of n samples is shaken
+        "scrambling_mean_deflection_rad": deflection_sum / ((last - 1) * n),
+        "scrambling_max_deflection_rad": deflection_max,
     }
-    if not keep_trajectory:
-        return ShakeResult(records, reference, summary)
-    return ShakeResult(
-        records,
-        reference,
-        summary,
-        times_s=np.arange(shake.windows * n) * cfg.dt_s,
-        axes=np.concatenate(axes_path),
-        retardances=np.concatenate(retardance_path),
-    )
+    return ShakeResult(records, reference, summary)
 
 
 SHAKE_CSV_HEADER = (
@@ -982,29 +1014,17 @@ SHAKE_CSV_HEADER = (
 SHAKE_CSV_ROW = "%d,%.12g,%.12g,%d,%.12g,%.12g,%d,%.12g\r\n"
 
 
-def write_shake_outputs(
-    result: ShakeResult,
-    records_csv: str | Path,
-    summary_json: str | Path,
-    trajectory_csv: str | Path | None = None,
-) -> None:
-    if trajectory_csv is not None and result.axes is None:
-        raise InvariantError("write_shake_outputs: the run kept no trajectory (output.trajectory_csv unset)")
-    _write_csv(
-        records_csv,
-        SHAKE_CSV_HEADER,
-        SHAKE_CSV_ROW,
-        (
+def write_shake_outputs(result: ShakeResult, records_csv: str | Path, summary_json: str | Path) -> None:
+    """The window records and the summary; the runner streams the trajectory."""
+    with csv_writer(records_csv, SHAKE_CSV_HEADER, SHAKE_CSV_ROW) as write:
+        write([
             (
                 r.window, r.t_start_s, r.t_end_s, r.shaken,
                 r.meter_readout_mean, r.meter_dop, r.meter_clipped, r.polarimeter_dop,
             )
             for r in result.records
-        ),
-    )
+        ])
     _write_json(summary_json, result.summary)
-    if trajectory_csv is not None:
-        write_trajectory_csv(trajectory_csv, result.times_s, result.axes, result.retardances)
 
 
 @dataclass(frozen=True)
@@ -1074,12 +1094,8 @@ PMD_CSV_ROW = "%.12g,%.12g,%.12g,%d\r\n"
 
 
 def write_pmd_outputs(result: PmdResult, records_csv: str | Path, summary_json: str | Path) -> None:
-    _write_csv(
-        records_csv,
-        PMD_CSV_HEADER,
-        PMD_CSV_ROW,
-        ((r.dgd_s, r.source_dop, r.meter_dop, r.meter_clipped) for r in result.records),
-    )
+    with csv_writer(records_csv, PMD_CSV_HEADER, PMD_CSV_ROW) as write:
+        write([(r.dgd_s, r.source_dop, r.meter_dop, r.meter_clipped) for r in result.records])
     _write_json(summary_json, result.summary)
 
 

@@ -429,13 +429,20 @@ def polarimeter_dop(
     stokes = np.empty(batch + (n_windows, 4))
     stokes[..., 0] = s0[..., :used].reshape(batch + (n_windows, window)).mean(axis=-1)
     stokes[..., 1:] = svec[..., :used, :].reshape(batch + (n_windows, window, 3)).mean(axis=-2)
-    if cfg.noise_sigma_rel > 0.0:
-        stokes = stokes * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(stokes.shape))
-    if np.any(stokes[..., 0] <= 0.0):
-        raise NumericsError("polarimeter_dop: non-positive averaged power")
-    # one BLAS dot per window, as np.linalg.norm takes it; a vectorised norm differs in the last bit
-    norms = np.array([np.linalg.norm(v) for v in stokes[..., 1:].reshape(-1, 3)])
-    return norms.reshape(stokes.shape[:-1]) / stokes[..., 0]
+    # an overflow shows as a non-finite DOP, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.noise_sigma_rel > 0.0:
+            stokes = stokes * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(stokes.shape))
+        if np.any(stokes[..., 0] <= 0.0):
+            raise NumericsError("polarimeter_dop: non-positive averaged power")
+        # one BLAS dot per window, as np.linalg.norm takes it; a vectorised norm differs in the last bit
+        norms = np.array([np.linalg.norm(v) for v in stokes[..., 1:].reshape(-1, 3)])
+        dop = norms.reshape(stokes.shape[:-1]) / stokes[..., 0]
+    # noise may lift a reading above 1; without it the mean Stokes vector is no longer than its power
+    ceiling = math.inf if cfg.noise_sigma_rel > 0.0 else 1.0 + 1e-12
+    if not np.all(np.isfinite(dop) & (dop <= ceiling)):
+        raise NumericsError("polarimeter_dop: a window's DOP is not finite, or above 1 without noise")
+    return dop
 
 
 @dataclass(frozen=True)

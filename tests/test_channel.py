@@ -12,7 +12,6 @@ from dopsim.channel import (
     apply_fiber,
     apply_pmd,
     evolve,
-    write_trajectory_csv,
 )
 from dopsim.polcore import InvariantError, PoincareVector, density_from_poincare, poincare_angle
 from dopsim.sources import (
@@ -205,13 +204,3 @@ class TestAnglePreservation:
             # |d DOP| <= |sin(2phi)| * |d 2phi| / (2 DOP) for balanced lines
             bound = abs(math.sin(two_phi)) * err / (2.0 * before) + 1e-12
             assert abs(after - before) <= bound
-
-
-class TestTrajectoryCsv:
-    def test_round_trip_columns(self, tmp_path):
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, [0.0, 0.1], [(0, 0, 1), (0, 1, 0)], [1.0, 2.0])
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "time_s,axis1,axis2,axis3,retardance_rad"
-        assert rows[1] == "0,0,0,1,1"
-        assert rows[2] == "0.1,0,1,0,2"

@@ -133,6 +133,8 @@ ONCE_UNNAMED = [
     ("pmd_no_visibility", "pmd_sweep", {"meter": {"visibility": 0}}, "meter.visibility"),
     ("shake_no_visibility", "fig3_shake", {"meter": {"visibility": 0}}, "meter.visibility"),
     ("calibrate_no_visibility", "calibrate", {"meter": {"visibility": 0}}, "meter.visibility"),
+    ("shake_intensity_1e300", "fig3_shake", {"source": {"intensity1": 1e300}}, "source.intensity1"),
+    ("shake_intensity2_1e300", "fig3_shake", {"source": {"intensity2": 1e300}}, "source.intensity2"),
 ]
 
 
@@ -153,3 +155,44 @@ def test_once_unnamed_error_names_its_field(tmp_path, capsys, config, change, fi
     command = harness.SCENARIOS[doc["scenario"]].command
     assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+#: One output per key, each named in a directory that does not exist and
+#: run without --out: (config, output key).
+MISSING_DIRECTORY = [
+    ("fig2_scan", "records_csv"),
+    ("pmd_sweep", "summary_json"),
+    ("fig3_shake", "trajectory_csv"),
+    ("calibrate", "calibration_json"),
+]
+
+
+@pytest.mark.parametrize("config,key", MISSING_DIRECTORY, ids=[key for _, key in MISSING_DIRECTORY])
+def test_missing_output_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, config, key):
+    monkeypatch.chdir(tmp_path)
+    doc = merged(BASES[config], {"output": {key: "no/such/dir/out.file"}})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    command = harness.SCENARIOS[doc["scenario"]].command
+    assert cli_main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: output.{key}: directory does not exist\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # nothing ran, nothing was written
+    # the directory depends on --out, so validate-config does not look at it
+    assert cli_main(["validate-config", str(path)]) == 0
+
+
+def test_output_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    doc = merged(BASES["calibrate"], {"output": {"calibration_json": "taken"}})
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert cli_main(["calibrate", "--config", "config.json"]) == 2
+    assert capsys.readouterr().err == "config error: output.calibration_json: is a directory\n"
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASES["calibrate"]))
+    assert cli_main(["calibrate", "--config", str(path), "--out", str(tmp_path / "taken")]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: cannot make directory ")

@@ -21,9 +21,7 @@ from dopsim.harness import (
     run_fig2_scan,
     run_fig3_shake,
     run_pmd_sweep,
-    write_shake_outputs,
 )
-from dopsim.polcore import InvariantError
 
 SMALL_SHAKE = {
     "scenario": "fig3_shake",
@@ -176,6 +174,25 @@ class TestScan:
         top = [level for level in result.per_level if level["two_phi_deg"] == 90.0][0]
         assert abs(top["normalized_mean"] - 1.0) < 1e-12
 
+    def test_per_circle_reference_on_every_circle(self):
+        # the 90 deg level's 1 - DOP^2 is largest on circle 2 alone, by ULPs;
+        # each circle still takes its own 90 deg points as its reference
+        cfg = load_config(
+            {"scenario": "fig2_scan", "scan": {"normalization": "per_circle", "base_step_deg": 23},
+             "meter": {"noise_sigma_rel": 0.0}}
+        )
+        result = run_fig2_scan(cfg)
+        x = np.array([r.one_minus_dop2 for r in result.records])
+        assert {r.circle for r, richest in zip(result.records, x == x.max()) if richest} == {2}
+        expected = []
+        for level in cfg.scan.two_phi_deg:
+            ratios = []
+            for c in cfg.scan.circles:
+                ref = np.mean([r.readout_mean for r in result.records if r.circle == c and r.two_phi_deg == 90.0])
+                ratios += [r.readout_mean / ref for r in result.records if r.circle == c and r.two_phi_deg == level]
+            expected.append(float(np.mean(ratios)))
+        assert [level["normalized_mean"] for level in result.per_level] == expected
+
 
 class TestShake:
     def test_deterministic(self):
@@ -214,15 +231,39 @@ class TestShake:
         assert result.summary["scrambling_mean_deflection_rad"] > 0.3
         assert result.summary["scrambling_max_deflection_rad"] <= math.pi + 1e-12
 
-    def test_trajectory_kept_only_when_written(self, tmp_path):
-        result = run_fig3_shake(load_config(SMALL_SHAKE))
-        assert result.times_s is None and result.axes is None and result.retardances is None
-        with pytest.raises(InvariantError, match="trajectory"):
-            write_shake_outputs(result, tmp_path / "s.csv", tmp_path / "s.json", tmp_path / "t.csv")
-        doc = dict(SMALL_SHAKE, output={"trajectory_csv": "trajectory.csv"})
-        kept = run_fig3_shake(load_config(doc))
-        assert kept.records == result.records
-        assert kept.axes.shape == (2000, 3) and kept.retardances.shape == kept.times_s.shape == (2000,)
+
+class TestTrajectoryCsv:
+    def test_round_trip_columns(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        with harness.csv_writer(path, harness.TRAJECTORY_CSV_HEADER, harness.TRAJECTORY_CSV_ROW) as write:
+            write(np.array([(0.0, 0, 0, 1, 1.0), (0.1, 0, 1, 0, 2.0)]))
+        rows = path.read_text().strip().split("\n")
+        assert rows[0] == "time_s,axis1,axis2,axis3,retardance_rad"
+        assert rows[1] == "0,0,0,1,1"
+        assert rows[2] == "0.1,0,1,0,2"
+
+    @pytest.mark.parametrize("block", [1, 3, harness.BLOCK_SAMPLES])
+    def test_blocks_render_as_rows_one_by_one(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(harness, "BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(5)
+        window, value, flag = np.arange(10), rng.standard_normal(10) * 1e3, rng.random(10) < 0.5
+        path = tmp_path / "mixed.csv"
+        rows = list(zip(window.tolist(), value.tolist(), flag.tolist()))
+        with harness.csv_writer(path, ("window", "value", "flag"), "%d,%.12g,%d\r\n") as write:
+            write(np.column_stack((window, value, flag))[:4])  # an array
+            write(rows[4:])  # tuples
+        expected = "".join("%d,%.12g,%d\r\n" % row for row in rows)
+        assert path.read_bytes() == ("window,value,flag\r\n" + expected).encode()
+
+    def test_exception_leaves_no_file(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("earlier run\n")
+        with pytest.raises(RuntimeError):
+            with harness.csv_writer(path, harness.TRAJECTORY_CSV_HEADER, harness.TRAJECTORY_CSV_ROW) as write:
+                write(np.array([(0.0, 0, 0, 1, 1.0)]))
+                raise RuntimeError("run failed")
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+        assert path.read_text() == "earlier run\n"
 
 
 class TestPmdSweep:

@@ -24,6 +24,7 @@ from dopsim.instruments import (
 )
 from dopsim.polcore import (
     InvariantError,
+    NumericsError,
     PoincareVector,
     brute_force_trace,
     density_from_poincare,
@@ -335,6 +336,20 @@ class TestPolarimeter:
     def test_short_trace_rejected(self):
         trace, _ = two_line_trace(45.0, n=5, dt=0.1)
         with pytest.raises(InvariantError):
+            polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_overflowing_stokes_magnitude_raises(self, noise):
+        # |S123|^2 overflows in the norm: a NumericsError, not an inf DOP
+        trace, _ = two_line_trace(45.0, i1=1e300, i2=1e300, n=10, dt=0.1)
+        cfg = PolarimeterConfig(integration_time_s=1.0, noise_sigma_rel=noise)
+        with pytest.raises(NumericsError, match="not finite"):
+            polarimeter_dop(trace, cfg, np.random.default_rng(1))
+
+    def test_noiseless_dop_above_one_raises(self):
+        # Poincare vectors twice the unit length read DOP 2
+        trace = PolarizationTrace(0.1, np.array([1550.0]), np.ones((10, 1)), np.tile([0.0, 0.0, 2.0], (10, 1, 1)))
+        with pytest.raises(NumericsError, match="above 1"):
             polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))
 
     def test_never_above_meter_on_constant_dop_traces(self):

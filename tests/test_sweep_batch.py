@@ -149,6 +149,8 @@ def per_point_scan(cfg):
     per_level = []
     richest = max(r.one_minus_dop2 for r in records)
     global_ref = float(np.mean([r.readout_mean for r in records if r.one_minus_dop2 == richest]))
+    # per circle, the reference is the circle's points at the level of the first richest point
+    reference_level = next(r.two_phi_deg for r in records if r.one_minus_dop2 == richest)
     for two_phi in scan.two_phi_deg:
         level = [r for r in records if r.two_phi_deg == float(two_phi)]
         values = np.array([r.readout_mean for r in level])
@@ -156,7 +158,7 @@ def per_point_scan(cfg):
             normalized = []
             for circle in scan.circles:
                 circle_records = [r for r in records if r.circle == circle]
-                ref = np.mean([r.readout_mean for r in circle_records if r.one_minus_dop2 == richest])
+                ref = np.mean([r.readout_mean for r in circle_records if r.two_phi_deg == reference_level])
                 normalized.extend(r.readout_mean / ref for r in level if r.circle == circle and ref > 0)
             norm_mean = float(np.mean(normalized)) if normalized else math.nan
         else:

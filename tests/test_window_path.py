@@ -6,7 +6,11 @@ The window path must equal it bit for bit (``np.array_equal``), over drawn
 channel, source and instrument settings.
 """
 
+import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ from dopsim.channel import (
     fiber_trace,
 )
 from dopsim import harness
+from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
 from dopsim.instruments import (
     PolarizationTrace,
@@ -30,7 +35,7 @@ from dopsim.instruments import (
     polarimeter_dop,
     singlet_meter_raw,
 )
-from dopsim.polcore import poincare_angle
+from dopsim.polcore import NumericsError, poincare_angle
 from dopsim.sources import great_circle_pair, two_laser_source
 
 #: acos near +/-1 turns a one-ULP change of the cosine (2.2e-16) into up to
@@ -65,8 +70,6 @@ def shake_docs(draw):
     ref = draw(st.one_of(st.none(), st.floats(1000.0, 2000.0)))
     if ref is not None:
         channel["ref_wavelength_nm"] = ref
-    # a run keeps its trajectory only when it is to write one
-    output = {"trajectory_csv": "trajectory.csv"} if draw(st.booleans()) else {}
     return {
         "scenario": "fig3_shake",
         "seed": draw(st.integers(0, 2**31)),
@@ -93,7 +96,6 @@ def shake_docs(draw):
             "integration_time_s": draw(st.sampled_from([samples * dt, (samples // 2) * dt])),
             "noise_sigma_rel": draw(st.sampled_from([0.0, 0.01])),
         },
-        "output": output,
     }
 
 
@@ -192,24 +194,32 @@ def test_window_equals_evolve_and_apply_fiber_loop(doc, channel_seed):
     )
 
 
+def trajectory_bytes(axes, retardances, dt_s):
+    """The trajectory CSV as rows rendered one by one."""
+    rows = ["time_s,axis1,axis2,axis3,retardance_rad\r\n"]
+    for t, (a1, a2, a3), r in zip((np.arange(len(axes)) * dt_s).tolist(), axes.tolist(), retardances.tolist()):
+        rows.append("%.12g,%.12g,%.12g,%.12g,%.12g\r\n" % (t, a1, a2, a3, r))
+    return "".join(rows).encode()
+
+
 @SETTINGS
-@given(doc=shake_docs(), budget=st.sampled_from(["one", "two_windows", "default"]))
-def test_shake_run_equals_per_sample_run(doc, budget):
+@given(doc=shake_docs(), budget=st.sampled_from(["one", "two_windows", "default"]), written=st.booleans())
+def test_shake_run_equals_per_sample_run(doc, budget, written):
     cfg = load_config(doc)
     n = int(round(cfg.shake.window_s / cfg.dt_s))
     # one window per block (the unshaken first and last alone), two (a block
-    # boundary splits the shaken run), or every window in one block
+    # boundary splits the shaken run), or every window in one block; the
+    # trajectory writer renders blocks of at most the same budget of rows
     block = {"one": 1, "two_windows": 2 * n + 1, "default": harness.BLOCK_SAMPLES}[budget]
-    with mock.patch.object(harness, "BLOCK_SAMPLES", block):
-        result = run_fig3_shake(cfg)
-    records, axes, retardances, deflections = per_sample_run(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv" if written else None
+        with mock.patch.object(harness, "BLOCK_SAMPLES", block):
+            result = run_fig3_shake(cfg, trajectory_csv=path)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == (["trajectory.csv"] if written else [])
+        records, axes, retardances, deflections = per_sample_run(cfg)
+        if written:
+            assert path.read_bytes() == trajectory_bytes(axes, retardances, cfg.dt_s)
     assert result.records == records
-    if cfg.output.trajectory_csv is None:
-        assert result.times_s is None and result.axes is None and result.retardances is None
-    else:
-        assert np.array_equal(result.times_s, np.arange(len(axes)) * cfg.dt_s)
-        assert np.array_equal(result.axes, axes)
-        assert np.array_equal(result.retardances, retardances)
     summary = result.summary
     assert math.isclose(
         summary["scrambling_mean_deflection_rad"], float(np.mean(deflections)), rel_tol=0.0,
@@ -219,6 +229,57 @@ def test_shake_run_equals_per_sample_run(doc, budget):
         summary["scrambling_max_deflection_rad"], float(np.max(deflections)), rel_tol=0.0,
         abs_tol=ANGLE_TOLERANCE,
     )
+
+
+def test_failed_run_leaves_no_trajectory(tmp_path):
+    # the polarimeter fails in the second block, after the first block's
+    # rows went to the file: neither the trajectory nor its temporary file stays
+    doc = {
+        "scenario": "fig3_shake",
+        "shake": {"windows": 6, "window_s": 0.05},
+        "output": {"trajectory_csv": "trajectory.csv"},
+    }
+    config = tmp_path / "shake.json"
+    config.write_text(json.dumps(doc))
+    real, calls = harness.polarimeter_dop, []
+
+    def fails_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericsError("polarimeter_dop: injected failure")
+        return real(*args, **kwargs)
+
+    out = tmp_path / "out"
+    with mock.patch.object(harness, "BLOCK_SAMPLES", 100), mock.patch.object(harness, "polarimeter_dop", fails_second):
+        assert cli_main(["shake", "--config", str(config), "--out", str(out)]) == 3
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
+
+
+def shake_peak_bytes(tmp_path, windows):
+    """tracemalloc peak of one CLI shake run of windows 1 s windows (1000
+    samples each) with the trajectory written."""
+    doc = {
+        "scenario": "fig3_shake",
+        "shake": {"windows": windows, "window_s": 1.0},
+        "polarimeter": {"integration_time_s": 1.0},
+        "output": {"trajectory_csv": "trajectory.csv"},
+    }
+    config = tmp_path / f"shake{windows}.json"
+    config.write_text(json.dumps(doc))
+    argv = ["shake", "--config", str(config), "--out", str(tmp_path / f"out{windows}")]
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shake_memory_does_not_grow_with_run_length(tmp_path):
+    shake_peak_bytes(tmp_path, 3)  # first-call allocations out of the way
+    short, long = shake_peak_bytes(tmp_path, 10), shake_peak_bytes(tmp_path, 160)
+    assert long - short < 0.5e6, (short, long)
 
 
 @pytest.mark.parametrize("budget", [100, 10])
