@@ -196,3 +196,14 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(BASES["calibrate"]))
     assert cli_main(["calibrate", "--config", str(path), "--out", str(tmp_path / "taken")]) == 2
     assert capsys.readouterr().err.startswith("config error: --out: cannot make directory ")
+
+
+def test_overflow_during_a_run_exits_3(tmp_path, capsys):
+    # a readout scale whose square leaves the float range: the fit's
+    # residuals overflow, a numerical failure rather than a warning
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(merged(BASES["fig2_scan"], {"meter": {"gain": 1e300}})))
+    out = tmp_path / "out"
+    assert cli_main(["scan", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: overflow")
+    assert list(out.iterdir()) == []
