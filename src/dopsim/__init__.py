@@ -26,7 +26,6 @@ from .polcore import (
     poincare_angle,
     poincare_from_density,
     poincare_round_trip,
-    rotate_density,
     rotate_poincare,
     rotate_poincare_many,
     rotation_unitary,
@@ -56,7 +55,6 @@ __all__ = [
     "poincare_angle",
     "poincare_from_density",
     "poincare_round_trip",
-    "rotate_density",
     "rotate_poincare",
     "rotate_poincare_many",
     "rotation_unitary",

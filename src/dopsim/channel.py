@@ -6,12 +6,13 @@ proportional to wavelength (fixed optical path difference).  Mechanical
 shaking is modeled as the simplest stationary processes with one timescale
 knob each: spherical Brownian motion of the axis plus a mean-reverting
 (Ornstein-Uhlenbeck) retardance.  First-order polarization mode dispersion is
-a rotation whose angle is linear in optical frequency offset.
+a rotation whose angle is linear in optical frequency offset (``pmd_turns``).
 
-Because the same rotation applied to both lines preserves their relative
-sphere angle, shaking leaves the beam DOP nearly invariant as long as the
-retardance difference across the line spacing stays small; the residual is
-quantified by angle_preservation_error.
+A run of fiber states is arrays: ``evolve_window`` walks the process for n
+steps, ``fiber_trace`` turns a beam through each state.  Because the same
+rotation applied to both lines preserves their relative sphere angle,
+shaking leaves the beam DOP nearly invariant as long as the retardance
+difference across the line spacing stays small.
 """
 
 from __future__ import annotations
@@ -23,16 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .instruments import PolarizationTrace
-from .polcore import (
-    InvariantError,
-    _unit_axis,
-    density_from_poincare,
-    poincare_angle,
-    poincare_round_trip,
-    rotate_poincare,
-    rotate_poincare_many,
-)
-from .sources import SPEED_OF_LIGHT_M_PER_S, SourceSpec, SpectralLine
+from .polcore import InvariantError, _unit_axis, poincare_round_trip, rotate_poincare_many
+from .sources import SPEED_OF_LIGHT_M_PER_S, SourceSpec
 
 
 @dataclass(frozen=True)
@@ -50,12 +43,6 @@ class FiberState:
             raise InvariantError("FiberState: retardance must be finite")
         if not (math.isfinite(self.ref_wavelength_nm) and self.ref_wavelength_nm > 0.0):
             raise InvariantError("FiberState: reference wavelength must be > 0")
-
-    def retardance_at(self, wavelength_nm: float) -> float:
-        """Rotation angle at a given wavelength, theta ~ 1/lambda."""
-        if wavelength_nm <= 0.0:
-            raise InvariantError("retardance_at: wavelength must be > 0")
-        return self.retardance_ref_rad * self.ref_wavelength_nm / wavelength_nm
 
 
 @dataclass(frozen=True)
@@ -85,42 +72,6 @@ class FluctuationProcess:
             raise InvariantError("FluctuationProcess: retardance mean must be finite")
 
 
-@dataclass(frozen=True)
-class PmdElement:
-    """First-order PMD: differential group delay about a fixed principal axis."""
-
-    dgd_s: float
-    axis: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        _unit_axis(self.axis)  # validates; the axis is kept as given, not renormalised
-        if not (math.isfinite(self.dgd_s) and self.dgd_s >= 0.0):
-            raise InvariantError("PmdElement: dgd_s must be >= 0")
-
-
-def _rotate_lines(src: SourceSpec, axis, angles: Sequence[float]) -> SourceSpec:
-    """Rotate each line's state about one axis by its own angle."""
-    return SourceSpec(
-        tuple(
-            SpectralLine(
-                line.wavelength_nm,
-                line.intensity,
-                density_from_poincare(rotate_poincare(line.poincare(), axis, angle)),
-            )
-            for line, angle in zip(src.lines, angles)
-        )
-    )
-
-
-def apply_fiber(src: SourceSpec, fiber: FiberState) -> SourceSpec:
-    """Rotate each line about the fiber axis by its wavelength's retardance."""
-    if fiber.retardance_ref_rad == 0.0:
-        return src
-    return _rotate_lines(
-        src, fiber.axis, [fiber.retardance_at(line.wavelength_nm) for line in src.lines]
-    )
-
-
 def fiber_trace(
     src: SourceSpec,
     axes: np.ndarray,
@@ -129,7 +80,10 @@ def fiber_trace(
     dt_s: float,
 ) -> PolarizationTrace:
     """The beam behind n fiber states, (axes[t], retardances[t]) at the
-    reference wavelength: sample t equals apply_fiber on that state, bit for bit."""
+    reference wavelength: sample t turns each line about axes[t] by
+    retardances[t] * ref_wavelength_nm / wavelength, and a zero retardance
+    leaves the lines as built.  ``tests/oracles.py`` holds the per-state
+    reference, ``apply_fiber``."""
     states = [line.poincare() for line in src.lines]
     wavelengths = np.array(src.wavelengths_nm(), dtype=float)
     angles = retardances[:, None] * ref_wavelength_nm / wavelengths
@@ -140,44 +94,6 @@ def fiber_trace(
     return PolarizationTrace(dt_s, wavelengths, intensities, mvecs)
 
 
-def evolve(
-    fiber: FiberState,
-    dt_s: float,
-    process: FluctuationProcess,
-    rng: np.random.Generator,
-) -> FiberState:
-    """One stochastic step of the shaking process; pure in (state, rng draw).
-
-    Two trajectories driven by generators seeded identically are identical.
-    """
-    if dt_s <= 0.0:
-        raise InvariantError("evolve: dt_s must be > 0")
-
-    a1, a2, a3 = fiber.axis
-    if process.axis_diffusion_rad2_per_s > 0.0:
-        scale = math.sqrt(process.axis_diffusion_rad2_per_s * dt_s)
-        g = rng.standard_normal(3)
-        g1, g2, g3 = scale * g[0], scale * g[1], scale * g[2]
-        radial = g1 * a1 + g2 * a2 + g3 * a3
-        b1 = a1 + g1 - radial * a1
-        b2 = a2 + g2 - radial * a2
-        b3 = a3 + g3 - radial * a3
-        n = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-        a1, a2, a3 = b1 / n, b2 / n, b3 / n
-
-    retardance = fiber.retardance_ref_rad
-    if process.retardance_sigma_rad > 0.0:
-        a = math.exp(-dt_s / process.correlation_time_s)
-        mu, sigma = process.retardance_mean_rad, process.retardance_sigma_rad
-        retardance = mu + (retardance - mu) * a + sigma * math.sqrt(1.0 - a * a) * float(rng.standard_normal())
-
-    return FiberState(
-        axis=(a1, a2, a3),
-        retardance_ref_rad=retardance,
-        ref_wavelength_nm=fiber.ref_wavelength_nm,
-    )
-
-
 def evolve_window(
     fiber: FiberState,
     dt_s: float,
@@ -185,12 +101,16 @@ def evolve_window(
     process: FluctuationProcess,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n_steps successive evolve() steps from fiber: axes (n, 3), retardances (n,).
+    """n_steps successive steps of the shaking process from fiber: axes
+    (n, 3), retardances (n,); row t is the state after t + 1 steps.
 
-    One bulk draw takes the same normals, in the same order, as n_steps calls
-    of evolve (three for the axis, then one for the retardance, per step; none
-    for a frozen component), and the loop keeps evolve's operation order, so
-    row t equals the state after t + 1 evolve() calls bit for bit.
+    A step adds a tangent-plane Gaussian kick of per-component variance
+    axis_diffusion * dt to the axis and renormalises it, then moves the
+    retardance by the exact Ornstein-Uhlenbeck update.  Each step takes three
+    normals for the axis, then one for the retardance (none for a frozen
+    component), all from one bulk draw, so a run split into consecutive calls
+    equals one call bit for bit.  ``tests/oracles.py`` holds the one-step
+    reference, ``evolve``.
     """
     if dt_s <= 0.0:
         raise InvariantError("evolve_window: dt_s must be > 0")
@@ -232,25 +152,3 @@ def pmd_turns(wavelengths_nm: Sequence[float], carrier_nm: float) -> np.ndarray:
     return np.array(
         [2.0 * math.pi * (SPEED_OF_LIGHT_M_PER_S / (w * 1e-9) - nu_carrier) for w in wavelengths_nm]
     )
-
-
-def apply_pmd(src: SourceSpec, element: PmdElement, carrier_nm: float) -> SourceSpec:
-    """Rotate each line about the principal axis by 2*pi*(nu - nu_carrier)*DGD."""
-    turns = pmd_turns(src.wavelengths_nm(), carrier_nm)
-    if element.dgd_s == 0.0:
-        return src
-    return _rotate_lines(src, element.axis, [turn * element.dgd_s for turn in turns.tolist()])
-
-
-def angle_preservation_error(src: SourceSpec, fiber: FiberState) -> float:
-    """|sphere angle after - before| for a two-line beam through the fiber.
-
-    Bounded by the retardance difference across the two wavelengths, which is
-    what makes a shaken fiber DOP-preserving for small birefringence.
-    """
-    if len(src.lines) != 2:
-        raise InvariantError("angle_preservation_error: source must have exactly 2 lines")
-    before = poincare_angle(src.lines[0].poincare(), src.lines[1].poincare())
-    out = apply_fiber(src, fiber)
-    after = poincare_angle(out.lines[0].poincare(), out.lines[1].poincare())
-    return abs(after - before)

@@ -672,6 +672,8 @@ def csv_writer(path: str | Path, header: Sequence[str], row_template: str):
 
 
 def _json_ready(obj):
+    """Plain JSON types; a float rounds to %.12g, and one that is not finite
+    (an undefined summary value) becomes null."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -681,13 +683,13 @@ def _json_ready(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.12g}")
+        return float(f"{float(obj):.12g}") if math.isfinite(obj) else None
     return obj
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -1043,8 +1045,10 @@ class PmdResult:
 
 
 def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
-    """All DGD steps in one array pass: the same records, bit for bit, as
-    applying one PmdElement per step and reading each beam alone."""
+    """All DGD steps in one array pass: step k turns each carrier line about
+    the principal axis by ``pmd_turns`` * DGD_k, and the meter reads every
+    step's beam on its own.  ``tests/oracles.py`` holds the per-step
+    reference, ``apply_pmd``, which the records equal bit for bit."""
     carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
 
@@ -1060,8 +1064,7 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
     degenerate = alignment > 1.0 - 1e-9
 
     dgd = np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps)
-    # each step's lines as channel.apply_pmd turns them; zero DGD leaves the
-    # source as built from m0
+    # zero DGD leaves the source as built from m0
     angles = dgd[:, None] * pmd_turns(wavelengths, carrier.carrier_nm)
     axes = np.broadcast_to(axis / axis_norm, (len(dgd), 3))
     rotated = rotate_poincare_many([line.poincare() for line in src0.lines], axes, angles)

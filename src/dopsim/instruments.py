@@ -7,7 +7,7 @@ Two instruments read the same discretized polarization signal:
   Stokes vectors of a fluctuating state can only shrink the mean vector, so
   a scrambled beam reads artificially depolarized.
 
-* ``singlet_meter_raw`` / ``singlet_meter_dop`` -- the direct route: a
+* ``singlet_meter_raw`` and ``invert_meter_readout`` -- the direct route: a
   parametric model of a coherent pair-projection meter built from two stages
   of walk-off-compensated type II nonlinear crystals.  Stage one upconverts a
   cross-wavelength photon pair to an H photon, stage two (rotated by 90 deg)
@@ -144,9 +144,8 @@ class PolarizationTrace:
     the meter and the polarimeter read a batch in one call, each beam on its
     own.  ``len`` is the number of samples n.  Construction checks the
     shapes; the values must meet the per-line invariants (finite,
-    intensities >= 0, |M| <= 1 + 1e-12), which ``static`` and
-    ``from_snapshots`` inherit from validated beams and the harness and
-    ``channel.fiber_trace`` check in bulk.
+    intensities >= 0, |M| <= 1 + 1e-12), which ``static`` inherits from a
+    validated beam and the harness and ``channel.fiber_trace`` check in bulk.
     """
 
     dt_s: float
@@ -200,26 +199,6 @@ class PolarizationTrace:
             np.asarray(wavelengths_nm, dtype=float),
             np.broadcast_to(np.asarray(intensities, dtype=float), (n_beams, n_samples, n_lines)),
             np.broadcast_to(poincare[:, None], (n_beams, n_samples, n_lines, 3)),
-        )
-
-    @classmethod
-    def from_snapshots(cls, dt_s: float, snapshots: Sequence[SourceSpec]) -> "PolarizationTrace":
-        """One sample per beam snapshot; every snapshot must share the first's wavelengths."""
-        if not snapshots:
-            raise InvariantError("PolarizationTrace: need at least one sample")
-        wavelengths = snapshots[0].wavelengths_nm()
-        for i, snap in enumerate(snapshots[1:], start=1):
-            if snap.wavelengths_nm() != wavelengths:
-                raise InvariantError(
-                    f"PolarizationTrace: snapshot {i} changes the line wavelengths"
-                )
-        return cls(
-            dt_s,
-            np.array(wavelengths, dtype=float),
-            np.array([snap.intensities() for snap in snapshots], dtype=float),
-            np.array(
-                [[poincare_components(line.polarization) for line in snap.lines] for snap in snapshots]
-            ),
         )
 
 
@@ -389,16 +368,6 @@ def invert_meter_readout(
     clipped = dop_sq > 1.0
     dop = np.sqrt(np.clip(dop_sq, 0.0, 1.0))
     return MeterDopEstimate(dop=dop, clipped=clipped)
-
-
-def singlet_meter_dop(
-    trace: PolarizationTrace, cfg: MeterConfig, rng: np.random.Generator | None = None
-) -> MeterDopEstimate:
-    """Per-sample DOP estimate of one beam: forward readout plus model inversion."""
-    if trace.intensities.ndim != 2:
-        raise InvariantError("singlet_meter_dop: reads one beam, not a batch")
-    readout = singlet_meter_raw(trace, cfg, rng)
-    return invert_meter_readout(readout, cfg, trace.wavelengths, trace.intensities[0])
 
 
 def polarimeter_dop(

@@ -466,11 +466,6 @@ def mixture_dop_many(mvecs, weights) -> np.ndarray:
     return np.minimum(norms, 1.0)
 
 
-def rotate_density(rho: DensityMatrix, axis, angle: float) -> DensityMatrix:
-    """The same rotation applied to a density matrix (through its M vector)."""
-    return density_from_poincare(rotate_poincare(poincare_from_density(rho), axis, angle))
-
-
 def rotation_unitary(axis, angle: float) -> np.ndarray:
     """SU(2) element exp(-i angle (axis.sigma)/2) matching rotate_poincare.
 

@@ -168,24 +168,6 @@ def modulated_carrier_source(
 GREAT_CIRCLE_PLANES = ((0, 1), (1, 2), (2, 0))
 
 
-def great_circle_states(circle_index: int, count: int, step_deg: float) -> list[PoincareVector]:
-    """``count`` unit vectors on one coordinate-plane great circle, spaced by
-    ``step_deg`` of arc starting from the plane's first coordinate axis."""
-    if circle_index not in (0, 1, 2):
-        raise InvariantError(f"great_circle_states: circle_index {circle_index} not in 0..2")
-    if count < 1:
-        raise InvariantError("great_circle_states: count must be >= 1")
-    ia, ib = GREAT_CIRCLE_PLANES[circle_index]
-    out = []
-    for k in range(count):
-        angle = math.radians(step_deg) * k
-        v = np.zeros(3)
-        v[ia] = math.cos(angle)
-        v[ib] = math.sin(angle)
-        out.append(PoincareVector.from_array(v))
-    return out
-
-
 def great_circle_pair(
     circle_index: int, base_angle_deg: float, separation_deg: float
 ) -> tuple[PoincareVector, PoincareVector]:

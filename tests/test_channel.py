@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dopsim.channel import (
-    FiberState,
-    FluctuationProcess,
-    PmdElement,
-    angle_preservation_error,
-    apply_fiber,
-    apply_pmd,
-    evolve,
-)
+from dopsim.channel import FiberState, FluctuationProcess, evolve_window, fiber_trace
 from dopsim.polcore import InvariantError, PoincareVector, density_from_poincare, poincare_angle
 from dopsim.sources import (
     SPEED_OF_LIGHT_M_PER_S,
@@ -22,6 +14,7 @@ from dopsim.sources import (
     two_laser_source,
 )
 from helpers import random_poincare, random_unit_vector
+from oracles import angle_preservation_error, apply_fiber, apply_pmd
 
 
 def make_two_line(m1=None, m2=None, i1=1.0, i2=1.0):
@@ -30,42 +23,46 @@ def make_two_line(m1=None, m2=None, i1=1.0, i2=1.0):
     return two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
 
 
+def through_fiber(src, axis, retardance):
+    """The lines' Poincare vectors (L, 3) behind one fiber state, referenced at 1552 nm."""
+    return fiber_trace(src, np.array([axis], dtype=float), np.array([retardance]), 1552.0, 1.0).poincare[0]
+
+
 class TestApplyFiber:
     def test_zero_retardance_is_identity(self):
         src = make_two_line()
-        out = apply_fiber(src, FiberState((1, 0, 0), 0.0, 1552.0))
-        for a, b in zip(src.lines, out.lines):
-            np.testing.assert_allclose(a.poincare().as_array(), b.poincare().as_array(), atol=1e-15)
+        out = through_fiber(src, (1, 0, 0), 0.0)
+        np.testing.assert_allclose(out, [line.poincare().as_array() for line in src.lines], atol=1e-15)
 
     def test_full_turn_at_reference_wavelength(self):
         src = SourceSpec((SpectralLine(1552.0, 1.0, density_from_poincare(PoincareVector(0, 0, 1))),))
-        out = apply_fiber(src, FiberState((1, 0, 0), 2 * math.pi, 1552.0))
-        np.testing.assert_allclose(
-            out.lines[0].poincare().as_array(), [0, 0, 1], atol=1e-12
-        )
+        out = through_fiber(src, (1, 0, 0), 2 * math.pi)
+        np.testing.assert_allclose(out[0], [0, 0, 1], atol=1e-12)
 
     def test_retardance_difference_across_lines(self):
-        fiber = FiberState((1, 0, 0), 1.0, 1552.0)
-        delta = abs(fiber.retardance_at(1552.0) - fiber.retardance_at(1554.0))
+        # both lines start at (0, 0, 1) and turn about (1, 0, 0) in the (2, 3) plane
+        src = make_two_line(PoincareVector(0, 0, 1), PoincareVector(0, 0, 1))
+        out = through_fiber(src, (1, 0, 0), 1.0)
+        delta = abs(math.atan2(out[0, 1], out[0, 2]) - math.atan2(out[1, 1], out[1, 2]))
         assert abs(delta - (1.0 - 1552.0 / 1554.0)) < 1e-15
         assert abs(delta - 1.3e-3) < 1e-4
 
     def test_preserves_norm_and_intensity(self):
         rng = np.random.default_rng(211)
         src = make_two_line(random_poincare(rng, pure=True), random_poincare(rng, pure=True), 0.7, 1.3)
-        out = apply_fiber(src, FiberState(tuple(random_unit_vector(rng)), 2.3, 1552.0))
-        assert out.intensities() == src.intensities()
-        for a, b in zip(src.lines, out.lines):
-            assert abs(a.poincare().norm() - b.poincare().norm()) < 1e-12
+        trace = fiber_trace(src, random_unit_vector(rng)[None], np.array([2.3]), 1552.0, 1.0)
+        assert trace.intensities[0].tolist() == list(src.intensities())
+        for line, out in zip(src.lines, trace.poincare[0]):
+            assert abs(line.poincare().norm() - np.linalg.norm(out)) < 1e-12
 
     def test_composition_about_one_axis(self):
         rng = np.random.default_rng(223)
         axis = tuple(random_unit_vector(rng))
         src = make_two_line(random_poincare(rng, pure=True), random_poincare(rng, pure=True))
-        one = apply_fiber(apply_fiber(src, FiberState(axis, 0.8, 1552.0)), FiberState(axis, 0.5, 1552.0))
-        both = apply_fiber(src, FiberState(axis, 1.3, 1552.0))
-        for a, b in zip(one.lines, both.lines):
-            np.testing.assert_allclose(a.poincare().as_array(), b.poincare().as_array(), atol=1e-12)
+        first = through_fiber(src, axis, 0.8)
+        one = through_fiber(make_two_line(*map(PoincareVector.from_array, first)), axis, 0.5)
+        both = through_fiber(src, axis, 1.3)
+        np.testing.assert_allclose(one, both, atol=1e-12)
 
 
 class TestEvolve:
@@ -82,46 +79,37 @@ class TestEvolve:
     def test_frozen_process_is_identity(self):
         fiber = FiberState((0, 0, 1), 1.7, 1552.0)
         proc = self.process(axis_diffusion_rad2_per_s=0.0, retardance_sigma_rad=0.0)
-        out = evolve(fiber, 0.01, proc, np.random.default_rng(0))
-        assert out == fiber
+        axes, retardances = evolve_window(fiber, 0.01, 5, proc, np.random.default_rng(0))
+        assert axes.tolist() == [list(fiber.axis)] * 5
+        assert retardances.tolist() == [fiber.retardance_ref_rad] * 5
 
     def test_same_seed_same_trajectory(self):
         fiber = FiberState((0, 0, 1), 2.0, 1552.0)
         proc = self.process()
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(1)
-            f = fiber
-            traj = []
-            for _ in range(200):
-                f = evolve(f, 0.01, proc, rng)
-                traj.append((f.axis, f.retardance_ref_rad))
-            runs.append(traj)
-        assert runs[0] == runs[1]
+        runs = [evolve_window(fiber, 0.01, 200, proc, np.random.default_rng(1)) for _ in range(2)]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_axis_stays_unit_norm(self):
         fiber = FiberState((0, 0, 1), 2.0, 1552.0)
-        proc = self.process()
-        rng = np.random.default_rng(3)
-        f = fiber
-        for _ in range(2000):
-            f = evolve(f, 0.01, proc, rng)
-            n = math.sqrt(sum(x * x for x in f.axis))
-            assert abs(n - 1.0) < 1e-9
+        axes, _ = evolve_window(fiber, 0.01, 2000, self.process(), np.random.default_rng(3))
+        assert np.all(np.abs(np.linalg.norm(axes, axis=1) - 1.0) < 1e-9)
 
     def test_stationary_retardance_statistics(self):
-        # one million steps at dt = tau/2; subsample every 5 tau for a nearly
+        # one million steps at dt = tau/2, in blocks of 2048 chained as the
+        # shake runner chains them; subsample every 5 tau for a nearly
         # independent draw from the stationary law
         proc = self.process()
-        fiber = FiberState((0, 0, 1), proc.retardance_mean_rad, 1552.0)
+        f = FiberState((0, 0, 1), proc.retardance_mean_rad, 1552.0)
         rng = np.random.default_rng(12345)
         dt = proc.correlation_time_s / 2.0
         n_steps = 1_000_000
-        retardances = np.empty(n_steps)
-        f = fiber
-        for i in range(n_steps):
-            f = evolve(f, dt, proc, rng)
-            retardances[i] = f.retardance_ref_rad
+        blocks = []
+        for start in range(0, n_steps, 2048):
+            axes, ret = evolve_window(f, dt, min(2048, n_steps - start), proc, rng)
+            f = FiberState(tuple(axes[-1].tolist()), float(ret[-1]), 1552.0)
+            blocks.append(ret)
+        retardances = np.concatenate(blocks)
 
         std = retardances.std()
         assert abs(std - proc.retardance_sigma_rad) / proc.retardance_sigma_rad < 0.05
@@ -136,7 +124,7 @@ class TestEvolve:
 class TestApplyPmd:
     def test_zero_dgd_is_identity(self):
         src = make_two_line()
-        out = apply_pmd(src, PmdElement(0.0, (1, 0, 0)), 1553.0)
+        out = apply_pmd(src, 0.0, (1, 0, 0), 1553.0)
         for a, b in zip(src.lines, out.lines):
             np.testing.assert_allclose(a.poincare().as_array(), b.poincare().as_array(), atol=1e-15)
 
@@ -154,13 +142,13 @@ class TestApplyPmd:
 
     def test_carrier_line_unchanged(self):
         carrier_nm, src = self._carrier_with_exact_sidebands(1e11)
-        out = apply_pmd(src, PmdElement(3e-12, (1, 0, 0)), carrier_nm)
+        out = apply_pmd(src, 3e-12, (1, 0, 0), carrier_nm)
         np.testing.assert_allclose(out.lines[1].poincare().as_array(), [0, 0, 1], atol=1e-9)
 
     def test_sidebands_at_half_period_reach_antipode(self):
         # 100 GHz offsets with 5 ps of DGD: rotation angles -/+ pi
         carrier_nm, src = self._carrier_with_exact_sidebands(1e11)
-        out = apply_pmd(src, PmdElement(5e-12, (1, 0, 0)), carrier_nm)
+        out = apply_pmd(src, 5e-12, (1, 0, 0), carrier_nm)
         np.testing.assert_allclose(out.lines[0].poincare().as_array(), [0, 0, -1], atol=1e-9)
         np.testing.assert_allclose(out.lines[2].poincare().as_array(), [0, 0, -1], atol=1e-9)
 

@@ -390,6 +390,19 @@ class TestCli:
         assert header == "circle,base_idx,two_phi_deg,true_dop,one_minus_dop2,readout_mean,readout_std"
         assert len(csv_text.splitlines()) == 151
 
+    @pytest.mark.parametrize("normalization", ["global", "per_circle"])
+    def test_undefined_normalized_mean_is_null(self, tmp_path, normalization):
+        # a dark offset far below zero leaves no positive reference readout
+        doc = {"scenario": "fig2_scan", "scan": {"normalization": normalization}, "meter": {"dark_offset": -10}}
+        path = write_json(tmp_path / "scan.json", doc)
+        assert cli_main(["scan", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((tmp_path / "out" / "scan_summary.json").read_text(), parse_constant=reject)
+        assert [level["normalized_mean"] for level in summary["per_level"]] == [None] * 10
+
     def test_shake_seeded_runs_are_byte_identical(self, tmp_path):
         doc = dict(SMALL_SHAKE)
         doc["output"] = {"trajectory_csv": "trajectory.csv"}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dopsim.channel import FiberState, apply_fiber
+from dopsim.channel import FiberState
 from dopsim.instruments import (
     CrystalStack,
     MeterConfig,
@@ -18,7 +18,6 @@ from dopsim.instruments import (
     pair_normalization,
     pair_projection_probability,
     polarimeter_dop,
-    singlet_meter_dop,
     singlet_meter_raw,
     two_stage_projector,
 )
@@ -40,6 +39,7 @@ from dopsim.sources import (
     two_laser_source,
 )
 from helpers import random_density, random_poincare, random_unit_vector
+from oracles import apply_fiber, singlet_meter_dop, trace_from_snapshots
 
 IDEAL = MeterConfig(visibility=1.0)
 
@@ -152,8 +152,8 @@ class TestSingletMeterRaw:
             singlet_meter_raw(PolarizationTrace.static(src, 1, 1.0), IDEAL)
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(InvariantError):
-            PolarizationTrace.from_snapshots(1.0, ())
+        with pytest.raises(InvariantError, match="at least one sample"):
+            PolarizationTrace(1.0, np.array([1552.0]), np.empty((0, 1)), np.empty((0, 1, 3)))
 
     def test_noise_requires_rng(self):
         trace, _ = two_line_trace(90.0)
@@ -194,7 +194,7 @@ class TestSingletMeterRaw:
         down = density_from_poincare(PoincareVector(0, 0, -1))
         snap_a = SourceSpec((SpectralLine(1552.0, 1, up), SpectralLine(1554.0, 1, up)))
         snap_b = SourceSpec((SpectralLine(1552.0, 1, up), SpectralLine(1554.0, 1, down)))
-        trace = PolarizationTrace.from_snapshots(1.0, (snap_a, snap_b))
+        trace = trace_from_snapshots(1.0, (snap_a, snap_b))
         instant = singlet_meter_raw(trace, IDEAL)
         np.testing.assert_allclose(instant, [0.0, 0.5], atol=1e-15)
         averaged = singlet_meter_raw(trace, MeterConfig(visibility=1.0, response_time_s=2.0))
@@ -256,7 +256,7 @@ class TestSingletMeterDop:
                     rotate_poincare(m1, axis, angle), rotate_poincare(m2, axis, angle),
                 )
             )
-        trace = PolarizationTrace.from_snapshots(1.0, tuple(snapshots))
+        trace = trace_from_snapshots(1.0, tuple(snapshots))
         est = singlet_meter_dop(trace, IDEAL)
         np.testing.assert_allclose(est.dop, math.sqrt(0.5), atol=1e-6)
 
@@ -323,7 +323,7 @@ class TestPolarimeter:
             angle = 2 * math.pi * k / n
             m = PoincareVector(math.cos(angle), math.sin(angle), 0.0)
             snapshots.append(SourceSpec((SpectralLine(1550.0, 1.0, density_from_poincare(m)),)))
-        trace = PolarizationTrace.from_snapshots(0.01, tuple(snapshots))
+        trace = trace_from_snapshots(0.01, tuple(snapshots))
         out = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=3.6))
         assert out[0] < 1e-10
 
@@ -365,7 +365,7 @@ class TestPolarimeter:
                         rotate_poincare(m1, axis, angle), rotate_poincare(m2, axis, angle),
                     )
                 )
-            trace = PolarizationTrace.from_snapshots(0.02, tuple(snapshots))
+            trace = trace_from_snapshots(0.02, tuple(snapshots))
             meter = float(
                 invert_meter_readout(
                     np.array([singlet_meter_raw(trace, IDEAL).mean()]),
@@ -429,7 +429,7 @@ class TestFiberScrambledOrdering:
             axis = tuple(random_unit_vector(rng))
             fiber = FiberState(axis, rng.normal(2.5, 0.5), 1552.0)
             snapshots.append(apply_fiber(src, fiber))
-        trace = PolarizationTrace.from_snapshots(0.05, tuple(snapshots))
+        trace = trace_from_snapshots(0.05, tuple(snapshots))
         meter = invert_meter_readout(
             np.array([singlet_meter_raw(trace, IDEAL).mean()]),
             IDEAL,

@@ -21,7 +21,6 @@ from dopsim.polcore import (
     poincare_angle,
     poincare_from_density,
     poincare_round_trip,
-    rotate_density,
     rotate_poincare,
     rotate_poincare_many,
     rotation_unitary,
@@ -200,7 +199,7 @@ class TestSingletProbability:
         m = random_poincare(rng, pure=True)
         same = density_from_poincare(m)
         assert singlet_probability(same, same) < 1e-14
-        almost = rotate_density(same, random_unit_vector(rng), 1e-3)
+        almost = density_from_poincare(rotate_poincare(poincare_from_density(same), random_unit_vector(rng), 1e-3))
         assert singlet_probability(same, almost) > 0.0
 
     def test_quadratic_law_for_identical_inputs(self):
@@ -285,7 +284,7 @@ class TestRotatePoincare:
             angle = rng.uniform(0, 2 * math.pi)
             u = rotation_unitary(axis, angle)
             direct = u @ rho.matrix @ u.conj().T
-            via_vector = rotate_density(rho, axis, angle).matrix
+            via_vector = density_from_poincare(rotate_poincare(poincare_from_density(rho), axis, angle)).matrix
             np.testing.assert_allclose(direct, via_vector, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ from dopsim.polcore import InvariantError, PoincareVector, poincare_angle, rotat
 from dopsim.sources import (
     dop_two_pure_lines,
     great_circle_pair,
-    great_circle_states,
+    great_circle_vectors,
     modulated_carrier_source,
     modulation_wavelength_offset_nm,
     source_dop,
@@ -139,25 +139,25 @@ class TestModulatedCarrier:
 
 class TestGreatCircles:
     def test_five_states_by_40_degrees(self):
-        states = great_circle_states(0, 5, 40.0)
-        assert len(states) == 5
         expected_angles = [0, 40, 80, 120, 160]
+        states = great_circle_vectors([0] * 5, expected_angles)
+        assert len(states) == 5
         for state, deg in zip(states, expected_angles):
             np.testing.assert_allclose(
-                state.as_array(),
+                state,
                 [math.cos(math.radians(deg)), math.sin(math.radians(deg)), 0.0],
                 atol=1e-12,
             )
 
     def test_full_turn_step_repeats(self):
-        states = great_circle_states(1, 4, 360.0)
+        states = great_circle_vectors([1] * 4, [0.0, 360.0, 720.0, 1080.0])
         for state in states[1:]:
-            np.testing.assert_allclose(state.as_array(), states[0].as_array(), atol=1e-9)
+            np.testing.assert_allclose(state, states[0], atol=1e-9)
 
     def test_all_unit_norm(self):
         for circle in (0, 1, 2):
-            for state in great_circle_states(circle, 9, 40.0):
-                assert abs(state.norm() - 1.0) < 1e-12
+            for state in great_circle_vectors([circle] * 9, 40.0 * np.arange(9)):
+                assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_circle_planes_are_orthogonal(self):
         # consecutive-state separation equals the step on every circle
@@ -167,4 +167,4 @@ class TestGreatCircles:
 
     def test_bad_circle_index(self):
         with pytest.raises(InvariantError):
-            great_circle_states(3, 5, 40.0)
+            great_circle_vectors([3] * 5, 40.0 * np.arange(5))

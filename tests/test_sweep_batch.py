@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dopsim import harness
-from dopsim.channel import PmdElement, apply_pmd
 from dopsim.harness import ConfigError, PmdRecord, ScanRecord, _affine_fit, _streams, load_config
 from dopsim.instruments import (
     PolarizationTrace,
@@ -28,6 +27,7 @@ from dopsim.instruments import (
 )
 from dopsim.polcore import PoincareVector
 from dopsim.sources import great_circle_pair, modulated_carrier_source, source_dop, two_laser_source
+from oracles import apply_pmd
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -190,7 +190,7 @@ def per_point_scan(cfg):
 
 
 def per_point_pmd(cfg):
-    """The PMD sweep as one PmdElement, beam and meter call per step: (records, summary)."""
+    """The PMD sweep as one apply_pmd, beam and meter call per step: (records, summary)."""
     carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
@@ -202,7 +202,7 @@ def per_point_pmd(cfg):
 
     records = []
     for dgd in np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps):
-        src = apply_pmd(src0, PmdElement(float(dgd), tuple(axis / axis_norm)), carrier.carrier_nm)
+        src = apply_pmd(src0, float(dgd), tuple(axis / axis_norm), carrier.carrier_nm)
         trace = PolarizationTrace.static(src, 1, cfg.dt_s)
         readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
         estimate = invert_meter_readout(readout, meter, trace.wavelengths, src.intensities())

@@ -1,9 +1,9 @@
 """The array-native shake path against the per-sample value-type path.
 
-The per-sample path -- one ``evolve`` and one ``apply_fiber`` per sample and
-a trace built from the resulting ``SourceSpec`` snapshots -- is the oracle.
-The window path must equal it bit for bit (``np.array_equal``), over drawn
-channel, source and instrument settings.
+The per-sample path in ``oracles`` -- one ``evolve`` and one ``apply_fiber``
+per sample and a trace built from the resulting ``SourceSpec`` snapshots --
+is the oracle.  The window path must equal it bit for bit
+(``np.array_equal``), over drawn channel, source and instrument settings.
 """
 
 import json
@@ -18,25 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dopsim.channel import (
-    FiberState,
-    FluctuationProcess,
-    apply_fiber,
-    evolve,
-    evolve_window,
-    fiber_trace,
-)
+from dopsim.channel import FiberState, FluctuationProcess, evolve_window, fiber_trace
 from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
-from dopsim.instruments import (
-    PolarizationTrace,
-    invert_meter_readout,
-    polarimeter_dop,
-    singlet_meter_raw,
-)
+from dopsim.instruments import invert_meter_readout, polarimeter_dop, singlet_meter_raw
 from dopsim.polcore import NumericsError, poincare_angle
 from dopsim.sources import great_circle_pair, two_laser_source
+from oracles import apply_fiber, evolve, trace_from_snapshots
 
 #: acos near +/-1 turns a one-ULP change of the cosine (2.2e-16) into up to
 #: sqrt(2 * 2.2e-16) = 2.1e-8 rad; the batched sphere angle may differ by that.
@@ -139,7 +128,7 @@ def per_sample_run(cfg):
             states.append(fiber.axis + (fiber.retardance_ref_rad,))
             if shaken:
                 deflections.append(poincare_angle(snap.lines[0].poincare(), reference_m1))
-        trace = PolarizationTrace.from_snapshots(cfg.dt_s, snapshots)
+        trace = trace_from_snapshots(cfg.dt_s, snapshots)
         readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0 else None)
         estimate = invert_meter_readout(
             np.array([readout.mean()]), meter, trace.wavelengths, src.intensities()
@@ -178,7 +167,7 @@ def test_window_equals_evolve_and_apply_fiber_loop(doc, channel_seed):
     assert np.array_equal(retardances, np.array([f.retardance_ref_rad for f in fibers]))
 
     trace = fiber_trace(src, axes, retardances, ref, cfg.dt_s)
-    oracle = PolarizationTrace.from_snapshots(cfg.dt_s, [apply_fiber(src, f) for f in fibers])
+    oracle = trace_from_snapshots(cfg.dt_s, [apply_fiber(src, f) for f in fibers])
     assert np.array_equal(trace.wavelengths, oracle.wavelengths)
     assert np.array_equal(trace.intensities, oracle.intensities)
     assert np.array_equal(trace.poincare, oracle.poincare)
