@@ -116,31 +116,42 @@ def evolve_window(
         raise InvariantError("evolve_window: dt_s must be > 0")
     diffuse = process.axis_diffusion_rad2_per_s > 0.0
     revert = process.retardance_sigma_rad > 0.0
-    draws = iter(rng.standard_normal((3 * diffuse + revert) * n_steps).tolist())
     scale = math.sqrt(process.axis_diffusion_rad2_per_s * dt_s)
     a = math.exp(-dt_s / process.correlation_time_s)
     mu = process.retardance_mean_rad
     kick = process.retardance_sigma_rad * math.sqrt(1.0 - a * a)
+    # row t holds step t's kicks: scale * (three normals), kick * (one normal);
+    # a product that overflows is left to the finite-state check below, as
+    # in plain float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        kicks = rng.standard_normal((n_steps, 3 * diffuse + revert)) * ([scale] * 3 * diffuse + [kick] * revert)
 
     a1, a2, a3 = fiber.axis
-    retardance = fiber.retardance_ref_rad
-    path = []
-    for _ in range(n_steps):
-        if diffuse:
-            g1, g2, g3 = scale * next(draws), scale * next(draws), scale * next(draws)
+    if diffuse:
+        axes = []
+        draws = iter(kicks[:, :3].ravel().tolist())
+        for g1, g2, g3 in zip(draws, draws, draws):
             radial = g1 * a1 + g2 * a2 + g3 * a3
             b1 = a1 + g1 - radial * a1
             b2 = a2 + g2 - radial * a2
             b3 = a3 + g3 - radial * a3
             n = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
             a1, a2, a3 = b1 / n, b2 / n, b3 / n
-        if revert:
-            retardance = mu + (retardance - mu) * a + kick * next(draws)
-        path.append((a1, a2, a3, retardance))
-    states = np.array(path, dtype=float).reshape(n_steps, 4)
-    if not np.all(np.isfinite(states)):
+            axes += (a1, a2, a3)
+    else:
+        axes = [a1, a2, a3] * n_steps
+    retardance = fiber.retardance_ref_rad
+    if revert:
+        retardances = []
+        for z in kicks[:, -1].tolist():
+            retardance = mu + (retardance - mu) * a + z
+            retardances.append(retardance)
+    else:
+        retardances = [retardance] * n_steps
+    axes, retardances = np.array(axes, dtype=float).reshape(n_steps, 3), np.array(retardances, dtype=float)
+    if not (np.all(np.isfinite(axes)) and np.all(np.isfinite(retardances))):
         raise InvariantError("evolve_window: fiber state left the finite range")
-    return states[:, :3], states[:, 3]
+    return axes, retardances
 
 
 def pmd_turns(wavelengths_nm: Sequence[float], carrier_nm: float) -> np.ndarray:

@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -665,6 +667,8 @@ def csv_writer(path: str | Path, header: Sequence[str], row_template: str):
                     fh.write(row_template * len(block) % tuple(values))
 
             yield write
+        # on ext4, renaming onto an existing file flushes the new one to disk first
+        path.unlink(missing_ok=True)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -688,9 +692,73 @@ def _json_ready(obj):
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # on ext4, truncating an existing file flushes it to disk when it is closed
+    Path(path).unlink(missing_ok=True)
     with open(path, "w") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
+
+
+@contextmanager
+def child_iterator(items: Iterable):
+    """``with child_iterator(items) as it`` gives an iterator over ``items``
+    that a child process made by ``os.fork`` runs ahead of the caller.
+
+    The child pickles each item into a pipe, whose buffer (64 KB on Linux)
+    bounds how far ahead it gets.  Fork copies the calling thread alone, so
+    the items must need no lock another thread may hold.  An exception that
+    iterating ``items`` raises reaches the caller after the items before it,
+    with its class and message.  Leaving the ``with`` block, the items used
+    up or not, ends and reaps the child, which leaves only through
+    ``os._exit``: it flushes no buffer it inherited.  Where ``os.fork`` does
+    not exist, the items are iterated in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield iter(items)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _send_items(items, write_fd)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield _received_items(pipe)
+    finally:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _send_items(items: Iterable, fd: int) -> NoReturn:
+    """The child's side of ``child_iterator``: (True, item) per item, then
+    (False, None), or (False, exception) where iterating fails."""
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                for item in items:
+                    pipe.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
+                    pipe.flush()
+                end = (False, None)
+            except Exception as exc:
+                end = (False, exc)
+            pipe.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _received_items(pipe) -> Iterator:
+    while True:
+        try:
+            more, value = pickle.load(pipe)
+        except EOFError:
+            raise ChildProcessError("child_iterator: the child process ended without its last item") from None
+        if not more:
+            if value is not None:
+                raise value
+            return
+        yield value
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +950,36 @@ def _held_fiber(fiber: FiberState, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3)), np.full(n, fiber.retardance_ref_rad)
 
 
+def _fiber_blocks(
+    fiber: FiberState,
+    process: FluctuationProcess,
+    rng: np.random.Generator,
+    dt_s: float,
+    n: int,
+    windows: int,
+    block: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The fiber states of a shake run of ``windows`` windows of n samples,
+    as (axes, retardances) per block of ``block`` windows.  The first and the
+    last window hold the fiber still; the windows between walk it, one
+    ``evolve_window`` call per block, each going on from where the last
+    ended.  Only ``rng`` is drawn from."""
+    last = windows - 1
+    for lo in range(0, windows, block):
+        hi = min(lo + block, windows)
+        first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
+        segments = []
+        if lo == 0:
+            segments.append(_held_fiber(fiber, n))
+        if first < stop:
+            walk = evolve_window(fiber, dt_s, (stop - first) * n, process, rng)
+            segments.append(walk)
+            fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), fiber.ref_wavelength_nm)
+        if hi > last:
+            segments.append(_held_fiber(fiber, n))
+        yield np.concatenate([a for a, _ in segments]), np.concatenate([r for _, r in segments])
+
+
 TRAJECTORY_CSV_HEADER = ("time_s", "axis1", "axis2", "axis3", "retardance_rad")
 TRAJECTORY_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
 
@@ -892,7 +990,9 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     ``evolve_window`` call for its shaken windows, one ``fiber_trace``, one
     meter, inversion and polarimeter call on the batch of its windows, and
     one sphere-angle call: the same records and channel stream, bit for bit,
-    as advancing and reading the windows one by one.
+    as advancing and reading the windows one by one.  The fiber states come
+    from ``_fiber_blocks`` in a ``child_iterator``, which walks each block
+    while this process reads the one before.
 
     Given ``trajectory_csv``, each block's fiber states go there as the block
     is made, one row per sample (time_s, axis1..3, retardance_rad), so memory
@@ -933,21 +1033,12 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     trajectory = nullcontext() if trajectory_csv is None else csv_writer(
         trajectory_csv, TRAJECTORY_CSV_HEADER, TRAJECTORY_CSV_ROW
     )
-    with trajectory as write_trajectory:
-        for lo in range(0, shake.windows, block):
+    states = _fiber_blocks(fiber, process, rng_channel, cfg.dt_s, n, shake.windows, block)
+    # fork before the trajectory file opens, so the child holds no copy of it
+    with child_iterator(states) as blocks, trajectory as write_trajectory:
+        for lo, (axes, retardances) in zip(range(0, shake.windows, block), blocks):
             hi = min(lo + block, shake.windows)
             first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
-            segments = []
-            if lo == 0:
-                segments.append(_held_fiber(fiber, n))
-            if first < stop:
-                walk = evolve_window(fiber, cfg.dt_s, (stop - first) * n, process, rng_channel)
-                segments.append(walk)
-                fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), ref_wavelength)
-            if hi > last:
-                segments.append(_held_fiber(fiber, n))
-            axes = np.concatenate([a for a, _ in segments])
-            retardances = np.concatenate([r for _, r in segments])
             if write_trajectory is not None:
                 write_trajectory(np.column_stack((np.arange(lo * n, hi * n) * cfg.dt_s, axes, retardances)))
 

@@ -14,6 +14,7 @@ from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import (
     ConfigError,
+    child_iterator,
     load_config,
     load_config_file,
     predicted_scan_line,
@@ -22,6 +23,7 @@ from dopsim.harness import (
     run_fig3_shake,
     run_pmd_sweep,
 )
+from dopsim.polcore import InvariantError, NumericsError
 
 SMALL_SHAKE = {
     "scenario": "fig3_shake",
@@ -266,6 +268,62 @@ class TestTrajectoryCsv:
         assert path.read_text() == "earlier run\n"
 
 
+def counted(k, error=None):
+    """0 .. k - 1, then ``error`` raised if given."""
+    yield from range(k)
+    if error is not None:
+        raise error
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildIterator:
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "error",
+        [InvariantError("evolve_window: fiber state left the finite range"), ZeroDivisionError("float division by zero")],
+        ids=["invariant", "zero_division"],
+    )
+    def test_error_after_k_items_reaches_the_caller_after_them(self, monkeypatch, forked, k, error):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        received = []
+        with pytest.raises(type(error)) as raised:
+            with child_iterator(counted(k, error)) as items:
+                for item in items:
+                    received.append(item)
+        assert received == list(range(k))
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert_no_child_left()
+
+    def test_items_larger_than_the_pipe_buffer_arrive_whole(self):
+        blocks = [np.random.default_rng(i).standard_normal((2048 * (i + 1), 4)) for i in range(3)]
+        with child_iterator(iter(blocks)) as items:
+            received = list(items)
+        assert all(np.array_equal(a, b) for a, b in zip(received, blocks)) and len(received) == 3
+        assert_no_child_left()
+
+    def test_runs_in_another_process(self):
+        with child_iterator(os.getpid() for _ in range(2)) as items:
+            assert os.getpid() not in set(items)
+
+    def test_consumer_that_stops_early_leaves_no_child(self):
+        endless = counted(10**9)
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            with child_iterator(endless) as items:
+                for item in items:
+                    if item == 2:
+                        raise RuntimeError("consumer failed")
+        assert_no_child_left()
+        with child_iterator(counted(10**9)) as items:
+            assert next(items) == 0
+        assert_no_child_left()
+
+
 class TestPmdSweep:
     def test_zero_dgd_full_dop_and_monotone_decay(self):
         result = run_pmd_sweep(load_config({"scenario": "pmd_sweep"}))
@@ -418,6 +476,44 @@ class TestCli:
                     (out / "trajectory.csv").read_bytes(),
                 )
             )
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["rerun", "failed_rerun"])
+    def test_rerun_into_one_out_replaces_the_outputs(self, tmp_path, monkeypatch, failing):
+        # a rerun unlinks each earlier output only once the new one is
+        # ready: a rerun that fails leaves the earlier outputs as they were
+        doc = dict(SMALL_SHAKE, output={"trajectory_csv": "trajectory.csv"})
+        out = tmp_path / "out"
+        argv = ["shake", "--config", write_json(tmp_path / "shake.json", doc), "--out", str(out)]
+
+        def outputs():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        assert cli_main(argv) == 0
+        first = outputs()
+        assert sorted(first) == ["shake.csv", "shake_summary.json", "trajectory.csv"]
+        if failing:
+            def fails(*args, **kwargs):
+                raise NumericsError("polarimeter_dop: injected failure")
+
+            monkeypatch.setattr(harness, "polarimeter_dop", fails)
+            assert cli_main(argv) == 3
+        else:
+            assert cli_main(argv) == 0
+        assert outputs() == first
+        assert_no_child_left()
+
+    def test_shake_outputs_without_fork_are_byte_identical(self, tmp_path, monkeypatch):
+        doc = dict(SMALL_SHAKE, output={"trajectory_csv": "trajectory.csv"})
+        path = write_json(tmp_path / "shake.json", doc)
+        outputs = []
+        for run in ("forked", "in_process"):
+            if run == "in_process":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / run
+            assert cli_main(["shake", "--config", path, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["shake.csv", "shake_summary.json", "trajectory.csv"]
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(

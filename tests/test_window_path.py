@@ -8,6 +8,7 @@ is the oracle.  The window path must equal it bit for bit
 
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -243,6 +244,30 @@ def test_failed_run_leaves_no_trajectory(tmp_path):
         assert cli_main(["shake", "--config", str(config), "--out", str(out)]) == 3
     assert len(calls) == 2
     assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # the walk's child process is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys, monkeypatch, forked):
+    # a retardance kick near the float limit: the walk's state overflows in
+    # its first block, an error of the walk, not a numerical failure
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    doc = {
+        "scenario": "fig3_shake",
+        "shake": {"windows": 6, "window_s": 0.05},
+        "channel": {"retardance_sigma_rad": 1.7e308, "correlation_time_s": 1e-6},
+        "output": {"trajectory_csv": "trajectory.csv"},
+    }
+    config = tmp_path / "shake.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["shake", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: evolve_window: fiber state left the finite range\n"
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def shake_peak_bytes(tmp_path, windows):
@@ -269,6 +294,12 @@ def test_shake_memory_does_not_grow_with_run_length(tmp_path):
     shake_peak_bytes(tmp_path, 3)  # first-call allocations out of the way
     short, long = shake_peak_bytes(tmp_path, 10), shake_peak_bytes(tmp_path, 160)
     assert long - short < 0.5e6, (short, long)
+
+
+def test_shake_memory_does_not_grow_with_run_length_in_process(tmp_path, monkeypatch):
+    # tracemalloc sees this process only; without fork the walk runs here
+    monkeypatch.delattr(os, "fork")
+    test_shake_memory_does_not_grow_with_run_length(tmp_path)
 
 
 @pytest.mark.parametrize("budget", [100, 10])
