@@ -25,7 +25,7 @@ import numpy as np
 
 from .instruments import PolarizationTrace
 from .polcore import InvariantError, _unit_axis, poincare_round_trip, rotate_poincare_many
-from .sources import SPEED_OF_LIGHT_M_PER_S, SourceSpec
+from .sources import SPEED_OF_LIGHT_M_PER_S
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,26 @@ class FluctuationProcess:
 
 
 def fiber_trace(
-    src: SourceSpec,
+    wavelengths_nm: Sequence[float],
+    intensities: Sequence[float],
+    lines: np.ndarray,
     axes: np.ndarray,
     retardances: np.ndarray,
     ref_wavelength_nm: float,
     dt_s: float,
 ) -> PolarizationTrace:
-    """The beam behind n fiber states, (axes[t], retardances[t]) at the
-    reference wavelength: sample t turns each line about axes[t] by
-    retardances[t] * ref_wavelength_nm / wavelength, and a zero retardance
-    leaves the lines as built.  ``tests/oracles.py`` holds the per-state
-    reference, ``apply_fiber``."""
-    states = [line.poincare() for line in src.lines]
-    wavelengths = np.array(src.wavelengths_nm(), dtype=float)
+    """The beam of L lines -- ``wavelengths_nm`` and ``intensities`` (L,),
+    Poincare vectors ``lines`` (L, 3) -- behind n fiber states,
+    (axes[t], retardances[t]) at the reference wavelength: sample t turns
+    each line about axes[t] by retardances[t] * ref_wavelength_nm /
+    wavelength, and a zero retardance leaves the lines as given.
+    ``tests/oracles.py`` holds the per-state reference, ``apply_fiber``."""
+    wavelengths = np.array(wavelengths_nm, dtype=float)
+    lines = np.asarray(lines, dtype=float)
     angles = retardances[:, None] * ref_wavelength_nm / wavelengths
-    rotated = poincare_round_trip(rotate_poincare_many(states, axes, angles))
-    unrotated = np.array([m.as_array() for m in states])
-    mvecs = np.where((retardances == 0.0)[:, None, None], unrotated, rotated)
-    intensities = np.broadcast_to(np.array(src.intensities(), dtype=float), mvecs.shape[:2])
+    rotated = poincare_round_trip(rotate_poincare_many(lines, axes, angles))
+    mvecs = np.where((retardances == 0.0)[:, None, None], lines, rotated)
+    intensities = np.broadcast_to(np.array(intensities, dtype=float), mvecs.shape[:2])
     return PolarizationTrace(dt_s, wavelengths, intensities, mvecs)
 
 

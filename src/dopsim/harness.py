@@ -25,7 +25,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -39,12 +39,12 @@ from .channel import (
 from .instruments import (
     CrystalStack,
     MeterConfig,
+    PairTable,
     PolarimeterConfig,
     PolarizationTrace,
     acceptance_bandwidth,
     calibrate_from_references,
     invert_meter_readout,
-    pair_normalization,
     pair_table,
     polarimeter_dop,
     singlet_meter_raw,
@@ -52,20 +52,12 @@ from .instruments import (
 from .polcore import (
     DopsimError,
     InvariantError,
-    PoincareVector,
     check_pure_states,
     mixture_dop_many,
     poincare_round_trip,
     rotate_poincare_many,
 )
-from .sources import (
-    great_circle_pair,
-    great_circle_vectors,
-    modulated_carrier_source,
-    modulation_wavelength_offset_nm,
-    source_dop,
-    two_laser_source,
-)
+from .sources import great_circle_vectors, modulation_wavelength_offset_nm
 
 DEFAULT_SEED_ENV = "DOPSIM_SEED"
 
@@ -84,6 +76,18 @@ MAX_COUNT = 2**16
 #: leave a spread of a few ULPs, and a fit through it reports slopes near
 #: 1e12; the records print 1 - DOP^2 to 12 digits, where it does not show.
 SCAN_MIN_SPREAD = 1e-12
+
+#: Largest readout scale, (gain + |dark_offset|) (1 + 10 noise_sigma_rel), a
+#: meter may have: the square of a readout, summed over MAX_SAMPLES samples
+#: by a readout std or over MAX_COUNT points by the scan's line fit, stays
+#: far inside the float range.
+MAX_READOUT_SCALE = 1e150
+
+#: Largest reach the shake channel's walk may have, in rad for the
+#: retardance (|retardance_mean_rad| + 10 retardance_sigma_rad) and in rad^2
+#: for the variance of one axis kick (axis_diffusion_rad2_per_s * dt_s): the
+#: fiber state, and its square, stay far inside the float range.
+MAX_WALK = 1e150
 
 
 class ConfigError(DopsimError):
@@ -511,30 +515,73 @@ def load_config_file(path: str | Path, **kwargs) -> ScenarioConfig:
     return load_config(doc, **kwargs)
 
 
-def _check_pairs(
-    meter: MeterConfig,
-    wavelengths_nm: Sequence[float],
-    wavelength_field: str,
-    intensities: Sequence[float] | None = None,
-    intensity_field: str | None = None,
-) -> None:
-    """A line set the meter cannot see -- no pair within the acceptance, or
-    (given intensities) none with light in both lines -- is a config error
-    naming the field that emptied it; so is a pair whose intensity product,
-    the meter's weight for it, overflows."""
-    pairs = pair_table(wavelengths_nm, meter)
-    if not pairs:
+class LineSet(NamedTuple):
+    """A run's spectral lines in wavelength order, as ``line_set`` builds them.
+
+    Line l lies at ``wavelengths[l]`` with intensity ``intensities[l]`` and
+    carries the Poincare vector of configured line ``order[l]``: for the two
+    lasers, line 1 or line 2 of the ``source`` section; for the carrier, the
+    lower sideband, the carrier and the upper sideband in turn.
+    """
+
+    wavelengths: tuple[float, ...]
+    intensities: tuple[float, ...]
+    order: tuple[int, ...]
+    table: PairTable
+
+
+def line_set(cfg: ScenarioConfig) -> LineSet:
+    """The lines of the config's two-laser source or modulated carrier and
+    their pair table; the calibrate references are balanced whatever the
+    configured intensities.
+
+    A line set the meter cannot read is a config error naming the field that
+    makes it so: no line pair within the acceptance, none with light in both
+    lines, a pair whose intensity product -- the meter's weight for it --
+    overflows, or pairs so close that their mean contamination reaches 1.
+    """
+    src, carrier = cfg.two_laser, cfg.carrier
+    if src is not None:
+        if src.lambda1_nm == src.lambda2_nm:
+            raise ConfigError("source.lambda2_nm: must differ from lambda1_nm")
+        if not 0.0 < src.intensity1 + src.intensity2 < math.inf:
+            raise ConfigError("source.intensity1: total intensity must be > 0 and finite")
+        order = (0, 1) if src.lambda1_nm < src.lambda2_nm else (1, 0)
+        wavelengths = tuple((src.lambda1_nm, src.lambda2_nm)[i] for i in order)
+        intensities = (1.0, 1.0) if cfg.calibrate is not None else tuple(
+            (src.intensity1, src.intensity2)[i] for i in order
+        )
+        wavelength_field = "source.lambda2_nm"
+        intensity_field = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
+    else:
+        if not 0.0 < sum(carrier.intensity_split) < math.inf:
+            raise ConfigError("source.intensity_split: weights must have a positive finite sum")
+        if not math.isfinite(carrier.carrier_nm * carrier.carrier_nm):
+            raise ConfigError("source.carrier_nm: the sideband offset lambda^2 f / c overflows")
+        offset = modulation_wavelength_offset_nm(carrier.carrier_nm, carrier.bitrate_hz)
+        wavelengths = (carrier.carrier_nm - offset, carrier.carrier_nm, carrier.carrier_nm + offset)
+        if not 0.0 < wavelengths[0] < wavelengths[1] < wavelengths[2] < math.inf:
+            raise ConfigError(f"source.bitrate_hz: sidebands {offset:.6g} nm off the carrier are not distinct lines")
+        order, intensities = (0, 1, 2), carrier.intensity_split
+        wavelength_field, intensity_field = "source.bitrate_hz", "source.intensity_split"
+
+    table = pair_table(wavelengths, intensities, cfg.meter)
+    if not table.pairs:
         raise ConfigError(
             f"{wavelength_field}: no line pair within the meter acceptance "
-            f"({acceptance_bandwidth(meter.stack):.6g} nm)"
+            f"({acceptance_bandwidth(cfg.meter.stack):.6g} nm)"
         )
-    if intensities is None:
-        return
-    weights = [intensities[i] * intensities[j] for i, j, _ in pairs]
+    weights = [intensities[i] * intensities[j] for i, j, _ in table.pairs]
     if not any(w > 0.0 for w in weights):
         raise ConfigError(f"{intensity_field}: no line pair within the meter acceptance carries light")
     if not all(map(math.isfinite, weights)):
         raise ConfigError(f"{intensity_field}: the intensity product of a line pair overflows")
+    if table.c_bar >= 1.0:
+        raise ConfigError(
+            f"{wavelength_field}: the line pairs are fully degenerate (mean contamination 1), "
+            "so the meter reading cannot be inverted"
+        )
+    return LineSet(wavelengths, intensities, order, table)
 
 
 def _samples(duration_s: float, dt_s: float, label: str) -> int:
@@ -553,18 +600,19 @@ def check(cfg: ScenarioConfig) -> None:
     field.  ``load_config`` runs them, so a config that loads -- and that
     ``validate-config`` passes -- is one the scenario can measure."""
     src, meter = cfg.two_laser, cfg.meter
-    if src is not None:
-        if src.lambda1_nm == src.lambda2_nm:
-            raise ConfigError("source.lambda2_nm: must differ from lambda1_nm")
-        if not 0.0 < src.intensity1 + src.intensity2 < math.inf:
-            raise ConfigError("source.intensity1: total intensity must be > 0 and finite")
-        if cfg.calibrate is not None:  # the references are balanced whatever the intensities
-            _check_pairs(meter, sorted([src.lambda1_nm, src.lambda2_nm]), "source.lambda2_nm")
-        else:
-            lines = sorted([(src.lambda1_nm, src.intensity1), (src.lambda2_nm, src.intensity2)])
-            intensity_field = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
-            wavelengths, intensities = [w for w, _ in lines], [i for _, i in lines]
-            _check_pairs(meter, wavelengths, "source.lambda2_nm", intensities, intensity_field)
+    lines = line_set(cfg)
+
+    # each error names the largest term of the bound it breaks
+    scale = {
+        "gain": meter.gain,
+        "dark_offset": abs(meter.dark_offset),
+        "noise_sigma_rel": 1.0 + 10.0 * meter.noise_sigma_rel,
+    }
+    if not (scale["gain"] + scale["dark_offset"]) * scale["noise_sigma_rel"] <= MAX_READOUT_SCALE:
+        raise ConfigError(
+            f"meter.{max(scale, key=scale.get)}: the readout scale "
+            f"(gain + |dark_offset|) (1 + 10 noise_sigma_rel) exceeds {MAX_READOUT_SCALE:g}"
+        )
 
     scan = cfg.scan
     if scan is not None:
@@ -589,26 +637,31 @@ def check(cfg: ScenarioConfig) -> None:
         if not math.isfinite(total * total):  # the polarimeter's |S|^2 <= S0^2
             heavier = "source.intensity1" if src.intensity1 >= src.intensity2 else "source.intensity2"
             raise ConfigError(f"{heavier}: the squared Stokes magnitude (intensity1 + intensity2)^2 overflows")
+        chan = cfg.channel
+        reach = {
+            "retardance_mean_rad": abs(chan.retardance_mean_rad),
+            "retardance_sigma_rad": 10.0 * chan.retardance_sigma_rad,
+        }
+        if not sum(reach.values()) <= MAX_WALK:
+            raise ConfigError(
+                f"channel.{max(reach, key=reach.get)}: the retardance walk's reach "
+                f"|retardance_mean_rad| + 10 retardance_sigma_rad exceeds {MAX_WALK:g} rad"
+            )
+        if not chan.axis_diffusion_rad2_per_s * cfg.dt_s <= MAX_WALK:
+            raise ConfigError(
+                f"channel.axis_diffusion_rad2_per_s: an axis kick's variance axis_diffusion_rad2_per_s * dt_s "
+                f"exceeds {MAX_WALK:g} rad^2"
+            )
         window = _samples(shake.window_s, cfg.dt_s, "shake.window_s")
         integration_s, label = cfg.polarimeter.integration_time_s, "polarimeter.integration_time_s"
         if integration_s is not None and _samples(integration_s, cfg.dt_s, label) > window:
             raise ConfigError(f"{label}: {integration_s} s exceeds shake.window_s ({shake.window_s} s)")
 
-    carrier = cfg.carrier
-    if carrier is not None:
-        if not 0.0 < sum(carrier.intensity_split) < math.inf:
-            raise ConfigError("source.intensity_split: weights must have a positive finite sum")
-        if not math.isfinite(carrier.carrier_nm * carrier.carrier_nm):
-            raise ConfigError("source.carrier_nm: the sideband offset lambda^2 f / c overflows")
-        offset = modulation_wavelength_offset_nm(carrier.carrier_nm, carrier.bitrate_hz)
-        wavelengths = (carrier.carrier_nm - offset, carrier.carrier_nm, carrier.carrier_nm + offset)
-        if not 0.0 < wavelengths[0] < wavelengths[1] < wavelengths[2] < math.inf:
-            raise ConfigError(f"source.bitrate_hz: sidebands {offset:.6g} nm off the carrier are not distinct lines")
-        _check_pairs(meter, wavelengths, "source.bitrate_hz", carrier.intensity_split, "source.intensity_split")
-        pmd = cfg.pmd
+    pmd = cfg.pmd
+    if pmd is not None:
         if pmd.dgd_stop_s <= pmd.dgd_start_s:
             raise ConfigError("pmd.dgd_stop_s: must exceed dgd_start_s")
-        turns = pmd_turns(wavelengths, carrier.carrier_nm).tolist()
+        turns = pmd_turns(lines.wavelengths, cfg.carrier.carrier_nm).tolist()
         if not all(math.isfinite(pmd.dgd_stop_s * turn) for turn in turns):
             raise ConfigError("pmd.dgd_stop_s: turns the sidebands by a non-finite angle")
 
@@ -766,8 +819,15 @@ def _received_items(pipe) -> Iterator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class RunResult(NamedTuple):
+    """What a scenario runner returns: its records, one NamedTuple per CSV
+    row with the fields in column order, and its summary."""
+
+    records: list
+    summary: dict
+
+
+class ScanRecord(NamedTuple):
     circle: int
     base_idx: int
     two_phi_deg: float
@@ -777,26 +837,12 @@ class ScanRecord:
     readout_std: float
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    records: list[ScanRecord]
-    slope: float
-    intercept: float
-    r_squared: float
-    predicted_slope: float
-    predicted_intercept: float
-    per_level: list[dict]
-    summary: dict
-
-
 def predicted_scan_line(cfg: ScenarioConfig) -> tuple[float, float]:
     """Analytic (slope, intercept) of readout vs 1 - DOP^2 for the meter and
     two-laser source in the config, valid for the noiseless model."""
-    src = cfg.two_laser
-    meter = cfg.meter
-    ((_, _, c),) = pair_table(sorted([src.lambda1_nm, src.lambda2_nm]), meter)
-    k = pair_normalization((src.intensity1, src.intensity2))
-    slope = meter.gain * meter.visibility * (1.0 - c) / (4.0 * k)
+    meter, table = cfg.meter, line_set(cfg).table
+    ((_, _, c),) = table.pairs
+    slope = meter.gain * meter.visibility * (1.0 - c) / (4.0 * table.k)
     intercept = meter.dark_offset + meter.gain * (
         (1.0 - meter.visibility) / 2.0 + meter.visibility * c / 4.0
     )
@@ -812,29 +858,31 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r_squared
 
 
-def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
+def _two_laser_vectors(lines: LineSet, circles, base_angles_deg, two_phi_deg) -> np.ndarray:
+    """The two lasers' Poincare vectors of P beams, (P, 2, 3) in wavelength
+    order: line 1 at ``base_angles_deg`` along great circle ``circles``, line
+    2 ``two_phi_deg`` beyond it, each checked to be a pure state."""
+    m1 = great_circle_vectors(circles, base_angles_deg)
+    m2 = great_circle_vectors(circles, np.add(base_angles_deg, two_phi_deg))
+    mvecs = np.stack([m1, m2], axis=1)
+    check_pure_states(mvecs, "two_laser_source")
+    return mvecs[:, lines.order]
+
+
+def run_fig2_scan(cfg: ScenarioConfig) -> RunResult:
     """All scan points in one array pass, in record order (circle, then base
     state, then level): the same records, bit for bit, as building one
     two-laser beam per point and reading it alone."""
-    scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
+    scan, meter, lines = cfg.scan, cfg.meter, line_set(cfg)
     _, rng_meter, _, _ = _streams(cfg.seed)
 
     circle, base_idx, two_phi = (
         a.ravel()
         for a in np.meshgrid(scan.circles, np.arange(scan.base_count), scan.two_phi_deg, indexing="ij")
     )
-    base_angle = base_idx * scan.base_step_deg
-    m1 = great_circle_vectors(circle, base_angle)
-    m2 = great_circle_vectors(circle, base_angle + two_phi)
-    check_pure_states(np.stack([m1, m2]), "two_laser_source")
-    # lines in wavelength order, as two_laser_source sorts them
-    lines = [(src_cfg.lambda1_nm, src_cfg.intensity1, m1), (src_cfg.lambda2_nm, src_cfg.intensity2, m2)]
-    lines.sort(key=lambda line: line[0])
-    wavelengths, intensities = [w for w, _, _ in lines], [i for _, i, _ in lines]
-    mvecs = np.stack([m for _, _, m in lines], axis=1)
-    pairs = pair_table(wavelengths, meter)
+    mvecs = _two_laser_vectors(lines, circle, base_idx * scan.base_step_deg, two_phi)
 
-    true_dop = mixture_dop_many(mvecs, intensities).tolist()
+    true_dop = mixture_dop_many(mvecs, lines.intensities).tolist()
     # Python float ``**2`` (libm pow), which differs from x * x in the last bit for some x
     one_minus_dop2 = [1.0 - d**2 for d in true_dop]
     x = np.array(one_minus_dop2)
@@ -843,19 +891,16 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
     block = max(1, BLOCK_SAMPLES // n)
     means, stds = [], []
     for lo in range(0, len(beams), block):
-        trace = PolarizationTrace.held(cfg.dt_s, wavelengths, intensities, beams[lo:lo + block], n)
-        readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, pairs)
+        trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, beams[lo:lo + block], n)
+        readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table)
         means.append(readout.mean(axis=1))
         stds.append(readout.std(axis=1))
     readout_mean, readout_std = np.concatenate(means), np.concatenate(stds)
 
-    records = [
-        ScanRecord(*row)
-        for row in zip(
-            circle.tolist(), base_idx.tolist(), two_phi.tolist(), true_dop, one_minus_dop2,
-            readout_mean.tolist(), readout_std.tolist(),
-        )
-    ]
+    records = list(map(ScanRecord._make, zip(
+        circle.tolist(), base_idx.tolist(), two_phi.tolist(), true_dop, one_minus_dop2,
+        readout_mean.tolist(), readout_std.tolist(),
+    )))
     slope, intercept, r_squared = _affine_fit(x, readout_mean)
     predicted_slope, predicted_intercept = predicted_scan_line(cfg)
 
@@ -902,26 +947,20 @@ def run_fig2_scan(cfg: ScenarioConfig) -> ScanResult:
         "noise_sigma_rel": meter.noise_sigma_rel,
         "per_level": per_level,
     }
-    return ScanResult(records, slope, intercept, r_squared, predicted_slope, predicted_intercept, per_level, summary)
+    return RunResult(records, summary)
 
 
-SCAN_CSV_HEADER = (
-    "circle", "base_idx", "two_phi_deg", "true_dop", "one_minus_dop2", "readout_mean", "readout_std",
-)
+SCAN_CSV_HEADER = ScanRecord._fields
 SCAN_CSV_ROW = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
-def write_scan_outputs(result: ScanResult, records_csv: str | Path, summary_json: str | Path) -> None:
+def write_scan_outputs(result: RunResult, records_csv: str | Path, summary_json: str | Path) -> None:
     with csv_writer(records_csv, SCAN_CSV_HEADER, SCAN_CSV_ROW) as write:
-        write([
-            (r.circle, r.base_idx, r.two_phi_deg, r.true_dop, r.one_minus_dop2, r.readout_mean, r.readout_std)
-            for r in result.records
-        ])
+        write(result.records)
     _write_json(summary_json, result.summary)
 
 
-@dataclass(frozen=True)
-class ShakeRecord:
+class ShakeRecord(NamedTuple):
     window: int
     t_start_s: float
     t_end_s: float
@@ -930,13 +969,6 @@ class ShakeRecord:
     meter_dop: float
     meter_clipped: bool
     polarimeter_dop: float
-
-
-@dataclass(frozen=True)
-class ShakeResult:
-    records: list[ShakeRecord]
-    reference_meter_dop: float
-    summary: dict
 
 
 def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -984,7 +1016,7 @@ TRAJECTORY_CSV_HEADER = ("time_s", "axis1", "axis2", "axis3", "retardance_rad")
 TRAJECTORY_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
 
 
-def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None) -> ShakeResult:
+def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None) -> RunResult:
     """The shake run in blocks of whole windows, at most ``BLOCK_SAMPLES``
     samples each (one window when a window is longer).  A block takes one
     ``evolve_window`` call for its shaken windows, one ``fiber_trace``, one
@@ -999,19 +1031,19 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     does not grow with the run length; the file takes its name when the run
     ends and is removed if the run fails.
     """
-    shake, src_cfg, chan, meter = cfg.shake, cfg.two_laser, cfg.channel, cfg.meter
+    shake, chan, meter, lines = cfg.shake, cfg.channel, cfg.meter, line_set(cfg)
     rng_channel, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
     channel_seed = chan.seed if chan.seed is not None else derived_seed
     if chan.seed is not None:
         rng_channel = np.random.default_rng(chan.seed)
 
-    m1, m2 = great_circle_pair(shake.circle_index, shake.base_angle_deg, shake.two_phi_deg)
-    src = two_laser_source(
-        src_cfg.lambda1_nm, src_cfg.lambda2_nm, src_cfg.intensity1, src_cfg.intensity2, m1, m2
+    (mvecs,) = _two_laser_vectors(
+        lines, [shake.circle_index], [shake.base_angle_deg], [shake.two_phi_deg]
     )
+    line_vectors = poincare_round_trip(mvecs)
     ref_wavelength = chan.ref_wavelength_nm
     if ref_wavelength is None:
-        ref_wavelength = src.wavelengths_nm()[0]
+        ref_wavelength = lines.wavelengths[0]
     process = FluctuationProcess(
         correlation_time_s=chan.correlation_time_s,
         axis_diffusion_rad2_per_s=chan.axis_diffusion_rad2_per_s,
@@ -1019,8 +1051,6 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
         retardance_mean_rad=chan.retardance_mean_rad,
     )
     fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
-    wavelengths, intensities = src.wavelengths_nm(), src.intensities()
-    pairs = pair_table(wavelengths, meter)
 
     n = int(round(shake.window_s / cfg.dt_s))
     last = shake.windows - 1  # the first and last windows are unshaken
@@ -1042,15 +1072,17 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
             if write_trajectory is not None:
                 write_trajectory(np.column_stack((np.arange(lo * n, hi * n) * cfg.dt_s, axes, retardances)))
 
-            lines = fiber_trace(src, axes, retardances, ref_wavelength, cfg.dt_s)
-            batch = (hi - lo, n, len(wavelengths))  # the block's windows as a batch of beams
+            beam = fiber_trace(
+                lines.wavelengths, lines.intensities, line_vectors, axes, retardances, ref_wavelength, cfg.dt_s
+            )
+            batch = (hi - lo, n, len(lines.wavelengths))  # the block's windows as a batch of beams
             trace = PolarizationTrace(
                 cfg.dt_s,
-                lines.wavelengths,
-                np.broadcast_to(lines.intensities[0], batch),
-                lines.poincare.reshape(batch + (3,)),
+                beam.wavelengths,
+                np.broadcast_to(beam.intensities[0], batch),
+                beam.poincare.reshape(batch + (3,)),
             )
-            line1 = lines.poincare[:, 0, :]
+            line1 = beam.poincare[:, 0, :]
             if lo == 0:
                 reference_m1 = line1[0]
             if first < stop:
@@ -1058,19 +1090,12 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
                 deflection_sum += float(angles.sum())
                 deflection_max = max(deflection_max, float(angles.max()))
 
-            readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, pairs).mean(axis=1)
-            estimate = invert_meter_readout(readout_mean, meter, wavelengths, intensities, pairs)
+            readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, lines.table).mean(axis=1)
+            estimate = invert_meter_readout(readout_mean, meter, lines.table)
             pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None).mean(axis=1)
             records.extend(
                 ShakeRecord(
-                    window=window,
-                    t_start_s=window * shake.window_s,
-                    t_end_s=(window + 1) * shake.window_s,
-                    shaken=0 < window < last,
-                    meter_readout_mean=r,
-                    meter_dop=d,
-                    meter_clipped=c,
-                    polarimeter_dop=p,
+                    window, window * shake.window_s, (window + 1) * shake.window_s, 0 < window < last, r, d, c, p
                 )
                 for window, r, d, c, p in zip(
                     range(lo, hi), readout_mean.tolist(), estimate.dop.tolist(), estimate.clipped.tolist(),
@@ -1087,7 +1112,7 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
         "windows": shake.windows,
         "window_s": shake.window_s,
         "two_phi_deg": shake.two_phi_deg,
-        "source_dop": source_dop(src),
+        "source_dop": float(mixture_dop_many(mvecs[None], lines.intensities)[0]),
         "reference_meter_dop": reference,
         "reference_polarimeter_dop": 0.5 * (records[0].polarimeter_dop + records[-1].polarimeter_dop),
         "max_meter_deviation": max(abs(r.meter_dop - reference) for r in records),
@@ -1097,78 +1122,58 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
         "scrambling_mean_deflection_rad": deflection_sum / ((last - 1) * n),
         "scrambling_max_deflection_rad": deflection_max,
     }
-    return ShakeResult(records, reference, summary)
+    return RunResult(records, summary)
 
 
-SHAKE_CSV_HEADER = (
-    "window", "t_start_s", "t_end_s", "shaken",
-    "meter_readout_mean", "meter_dop", "meter_clipped", "polarimeter_dop",
-)
+SHAKE_CSV_HEADER = ShakeRecord._fields
 SHAKE_CSV_ROW = "%d,%.12g,%.12g,%d,%.12g,%.12g,%d,%.12g\r\n"
 
 
-def write_shake_outputs(result: ShakeResult, records_csv: str | Path, summary_json: str | Path) -> None:
+def write_shake_outputs(result: RunResult, records_csv: str | Path, summary_json: str | Path) -> None:
     """The window records and the summary; the runner streams the trajectory."""
     with csv_writer(records_csv, SHAKE_CSV_HEADER, SHAKE_CSV_ROW) as write:
-        write([
-            (
-                r.window, r.t_start_s, r.t_end_s, r.shaken,
-                r.meter_readout_mean, r.meter_dop, r.meter_clipped, r.polarimeter_dop,
-            )
-            for r in result.records
-        ])
+        write(result.records)
     _write_json(summary_json, result.summary)
 
 
-@dataclass(frozen=True)
-class PmdRecord:
+class PmdRecord(NamedTuple):
     dgd_s: float
     source_dop: float
     meter_dop: float
     meter_clipped: bool
 
 
-@dataclass(frozen=True)
-class PmdResult:
-    records: list[PmdRecord]
-    degenerate_geometry: bool
-    summary: dict
-
-
-def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
+def run_pmd_sweep(cfg: ScenarioConfig) -> RunResult:
     """All DGD steps in one array pass: step k turns each carrier line about
     the principal axis by ``pmd_turns`` * DGD_k, and the meter reads every
     step's beam on its own.  ``tests/oracles.py`` holds the per-step
     reference, ``apply_pmd``, which the records equal bit for bit."""
-    carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
+    carrier, pmd, meter, lines = cfg.carrier, cfg.pmd, cfg.meter, line_set(cfg)
     _, rng_meter, _, _ = _streams(cfg.seed)
 
-    m0 = PoincareVector.from_array(carrier.poincare)
-    src0 = modulated_carrier_source(
-        carrier.carrier_nm, carrier.bitrate_hz, m0, m0, m0, carrier.intensity_split
-    )
-    wavelengths, intensities = src0.wavelengths_nm(), src0.intensities()
-    pairs = pair_table(wavelengths, meter)
+    # every line carries the configured polarization
+    m0 = np.array(carrier.poincare, dtype=float)
+    check_pure_states(m0, "modulated_carrier_source")
+    m0_norm = math.sqrt(sum(m**2 for m in carrier.poincare))  # as PoincareVector.norm
     axis = np.asarray(pmd.axis, dtype=float)
     axis_norm = np.linalg.norm(axis)
-    alignment = abs(float(axis @ m0.as_array()) / (axis_norm * m0.norm()))
-    degenerate = alignment > 1.0 - 1e-9
+    degenerate = abs(float(axis @ m0) / (axis_norm * m0_norm)) > 1.0 - 1e-9
 
     dgd = np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps)
-    # zero DGD leaves the source as built from m0
-    angles = dgd[:, None] * pmd_turns(wavelengths, carrier.carrier_nm)
+    # zero DGD leaves the lines as configured
+    angles = dgd[:, None] * pmd_turns(lines.wavelengths, carrier.carrier_nm)
     axes = np.broadcast_to(axis / axis_norm, (len(dgd), 3))
-    rotated = rotate_poincare_many([line.poincare() for line in src0.lines], axes, angles)
-    mvecs = np.where((dgd == 0.0)[:, None, None], m0.as_array(), rotated)
+    line_vectors = np.broadcast_to(poincare_round_trip(m0), (len(lines.wavelengths), 3))
+    rotated = rotate_poincare_many(line_vectors, axes, angles)
+    mvecs = np.where((dgd == 0.0)[:, None, None], m0, rotated)
 
-    source_dop = mixture_dop_many(mvecs, intensities)
-    trace = PolarizationTrace.held(cfg.dt_s, wavelengths, intensities, poincare_round_trip(mvecs), 1)
-    readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, pairs)
-    estimate = invert_meter_readout(readout[:, 0], meter, wavelengths, intensities, pairs)
-    records = [
-        PmdRecord(*row)
-        for row in zip(dgd.tolist(), source_dop.tolist(), estimate.dop.tolist(), estimate.clipped.tolist())
-    ]
+    source_dop = mixture_dop_many(mvecs, lines.intensities)
+    trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, poincare_round_trip(mvecs), 1)
+    readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table)
+    estimate = invert_meter_readout(readout[:, 0], meter, lines.table)
+    records = list(map(PmdRecord._make, zip(
+        dgd.tolist(), source_dop.tolist(), estimate.dop.tolist(), estimate.clipped.tolist()
+    )))
 
     summary = {
         "scenario": cfg.scenario,
@@ -1180,51 +1185,42 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> PmdResult:
         "min_meter_dop": float(estimate.dop.min()),
         "dgd_at_min_source_dop": float(dgd[np.argmin(source_dop)]),
     }
-    return PmdResult(records, degenerate, summary)
+    return RunResult(records, summary)
 
 
-PMD_CSV_HEADER = ("dgd_s", "source_dop", "meter_dop", "meter_clipped")
+PMD_CSV_HEADER = PmdRecord._fields
 PMD_CSV_ROW = "%.12g,%.12g,%.12g,%d\r\n"
 
 
-def write_pmd_outputs(result: PmdResult, records_csv: str | Path, summary_json: str | Path) -> None:
+def write_pmd_outputs(result: RunResult, records_csv: str | Path, summary_json: str | Path) -> None:
     with csv_writer(records_csv, PMD_CSV_HEADER, PMD_CSV_ROW) as write:
-        write([(r.dgd_s, r.source_dop, r.meter_dop, r.meter_clipped) for r in result.records])
+        write(result.records)
     _write_json(summary_json, result.summary)
 
 
 def run_calibrate(cfg: ScenarioConfig) -> dict:
     """Measure a DOP-1 and a DOP-0 balanced reference through the configured
     meter and solve for (gain, dark_offset); returns the calibration record."""
-    src_cfg, meter = cfg.two_laser, cfg.meter
+    meter, lines = cfg.meter, line_set(cfg)
     _, rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
-    # the references are balanced whatever the configured intensities
-    pairs = pair_table(sorted([src_cfg.lambda1_nm, src_cfg.lambda2_nm]), meter)
-    ((_, _, contamination),) = pairs
 
-    m_base, m_anti = great_circle_pair(0, 0.0, 180.0)
-    references = {
-        "dop1": two_laser_source(src_cfg.lambda1_nm, src_cfg.lambda2_nm, 1.0, 1.0, m_base, m_base),
-        "dop0": two_laser_source(src_cfg.lambda1_nm, src_cfg.lambda2_nm, 1.0, 1.0, m_base, m_anti),
-    }
-    means = {}
-    for label, src in references.items():
-        trace = PolarizationTrace.static(src, cfg.calibrate.samples, cfg.dt_s)
-        readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None, pairs=pairs)
-        means[label] = float(readout.mean())
+    m_base, m_anti = great_circle_vectors([0, 0], [0.0, 180.0])
+    means = []
+    for beam in ([m_base, m_base], [m_base, m_anti]):  # DOP 1, then DOP 0
+        mvecs = poincare_round_trip(np.array([beam])[:, lines.order])
+        trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, mvecs, cfg.calibrate.samples)
+        means.append(float(singlet_meter_raw(trace, meter, rng_meter if noisy else None, lines.table).mean()))
 
-    gain, dark = calibrate_from_references(
-        means["dop1"], means["dop0"], meter.visibility, contamination
-    )
+    gain, dark = calibrate_from_references(means[0], means[1], meter.visibility, lines.table.c_bar)
     return {
         "gain": gain,
         "dark_offset": dark,
         "visibility": meter.visibility,
         "samples": cfg.calibrate.samples,
         "seed": cfg.seed,
-        "readout_dop1_mean": means["dop1"],
-        "readout_dop0_mean": means["dop0"],
+        "readout_dop1_mean": means[0],
+        "readout_dop0_mean": means[1],
     }
 
 

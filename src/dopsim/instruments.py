@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,12 +239,29 @@ def pair_projection_probability(ma: np.ndarray, mb: np.ndarray, stage_phase_rad:
     return diag - 0.25 * np.real(phase * cross)
 
 
-def pair_table(wavelengths_nm: Sequence[float], cfg: MeterConfig) -> tuple[tuple[int, int, float], ...]:
-    """Participating line pairs (i, j, contamination) of a line set.
+class PairTable(NamedTuple):
+    """The participating line pairs of a line set and the inversion
+    constants they fix.
+
+    ``pairs`` holds (i, j, contamination) per pair; ``c_bar`` is the
+    contamination averaged with the pairs' intensity products I_i I_j as
+    weights (NaN when the weights sum to no finite positive value), and
+    ``k = 1 - sum(w_i^2)``, with w_i the intensity fractions, relates the
+    distinct-pair projection average to the beam's (1 - DOP^2)/4; it is
+    2 I1 I2 / (I1 + I2)^2 for two lines.
+    """
+
+    pairs: tuple[tuple[int, int, float], ...]
+    c_bar: float
+    k: float
+
+
+def pair_table(wavelengths_nm: Sequence[float], intensities: Sequence[float], cfg: MeterConfig) -> PairTable:
+    """The pair table of a line set, built once and shared by the meter
+    forward model and its inversion.
 
     A pair converts only within the phase-matching acceptance; the degenerate
-    contamination applies below the minimum separation.  Built once per line
-    set, the table serves the forward model and the inversion alike.
+    contamination applies below the minimum separation.
     """
     wavelengths = np.asarray(wavelengths_nm, dtype=float)
     acceptance = acceptance_bandwidth(cfg.stack)
@@ -258,14 +275,22 @@ def pair_table(wavelengths_nm: Sequence[float], cfg: MeterConfig) -> tuple[tuple
             if separation < cfg.min_separation_nm:
                 c = degenerate_contamination(wavelengths[i], wavelengths[j], cfg.stack)
             pairs.append((i, j, c))
-    return tuple(pairs)
+    ivals = np.asarray(intensities, dtype=float)
+    # an overflowing weight or total shows as a NaN or infinite constant
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = np.array([ivals[i] * ivals[j] for i, j, _ in pairs])
+        total = weights.sum()
+        c_bar = float(np.average([c for _, _, c in pairs], weights=weights)) if 0.0 < total < math.inf else math.nan
+        w = ivals / ivals.sum()
+        k = float(1.0 - (w**2).sum())
+    return PairTable(tuple(pairs), c_bar, k)
 
 
 def singlet_meter_raw(
     trace: PolarizationTrace,
     cfg: MeterConfig,
     rng: np.random.Generator | None = None,
-    pairs: Sequence[tuple[int, int, float]] | None = None,
+    table: PairTable | None = None,
 ) -> np.ndarray:
     """Readout time series of the pair-projection meter: (n,), or (P, n)
     for a batch of P beams.
@@ -276,14 +301,14 @@ def singlet_meter_raw(
     multiplicative noise.  Samples with no convertible pair fall to the dark
     level.  A batch reads as its beams one after another would: the response
     window never reaches across beams, and the noise draws follow beam order.
-    ``pairs`` is the line set's ``pair_table``, built here when not given.
+    ``table`` is the line set's ``pair_table``, built here when not given.
     """
     if len(trace.wavelengths) < 2:
         raise InvariantError("singlet_meter_raw: nothing to upconvert in a single-line beam")
     if cfg.noise_sigma_rel > 0.0 and rng is None:
         raise InvariantError("singlet_meter_raw: noisy config needs an explicit rng")
-    if pairs is None:
-        pairs = pair_table(trace.wavelengths, cfg)
+    if table is None:  # the forward model reads only the pairs, not the intensity-weighted constants
+        table = pair_table(trace.wavelengths, np.ones(len(trace.wavelengths)), cfg)
 
     intensities, mvecs = trace.intensities, trace.poincare
     # a window as long as the trace reads like any longer one
@@ -296,7 +321,7 @@ def singlet_meter_raw(
     shape = s0.shape[:-1]
     weighted = np.zeros(shape)
     weights = np.zeros(shape)
-    for i, j, c in pairs:
+    for i, j, c in table.pairs:
         w = s0[..., i] * s0[..., j]
         p = pair_projection_probability(m_avg[..., i, :], m_avg[..., j, :], cfg.stage_phase_rad)
         weighted += w * ((1.0 - c) * p + 0.25 * c)
@@ -313,58 +338,28 @@ def singlet_meter_raw(
     return readout
 
 
-def pair_normalization(intensities: Sequence[float]) -> float:
-    """Cross-pair statistics factor k = 1 - sum(w_i^2) with w_i the intensity
-    fractions; relates the distinct-pair projection average to the beam's
-    (1 - DOP^2)/4.  Equals 2 I1 I2 / (I1 + I2)^2 for two lines."""
-    w = np.asarray(intensities, dtype=float)
-    total = w.sum()
-    if total <= 0.0:
-        raise InvariantError("pair_normalization: total intensity must be > 0")
-    w = w / total
-    return float(1.0 - (w**2).sum())
-
-
 @dataclass(frozen=True)
 class MeterDopEstimate:
     dop: np.ndarray
     clipped: np.ndarray  # True where the readout sat below the estimable floor
 
 
-def invert_meter_readout(
-    readout: np.ndarray,
-    cfg: MeterConfig,
-    wavelengths_nm: Sequence[float],
-    intensities: Sequence[float],
-    pairs: Sequence[tuple[int, int, float]] | None = None,
-) -> MeterDopEstimate:
-    """Invert the imperfection model to a DOP estimate.
+def invert_meter_readout(readout: np.ndarray, cfg: MeterConfig, table: PairTable) -> MeterDopEstimate:
+    """Invert the imperfection model to a DOP estimate, with the mean
+    contamination ``c_bar`` and the pair normalization ``k`` of the line
+    set's ``pair_table``, which must have c_bar < 1.
 
     Exact on two-line beams; for more lines it assumes pure lines, uniform
     contamination and full pair participation.  Readings below the estimable
     floor (for instance, at or under the dark level) clamp to DOP = 1 and are
-    flagged rather than raised.  ``pairs`` is the line set's ``pair_table``,
-    built here when not given.
+    flagged rather than raised.
     """
     if cfg.visibility <= 0.0:
         raise DopsimError("invert_meter_readout: zero visibility carries no signal")
-    ivals = np.asarray(intensities, dtype=float)
-    if pairs is None:
-        pairs = pair_table(wavelengths_nm, cfg)
-    if not pairs:
-        raise DopsimError("invert_meter_readout: no line pair within the acceptance bandwidth")
-    pair_weights = np.array([ivals[i] * ivals[j] for i, j, _ in pairs])
-    if pair_weights.sum() <= 0.0:
-        raise DopsimError("invert_meter_readout: participating pairs carry no intensity")
-    c_bar = float(np.average([c for _, _, c in pairs], weights=pair_weights))
-    if c_bar >= 1.0:
-        raise DopsimError("invert_meter_readout: fully degenerate pairs are uninvertible")
-
-    k = pair_normalization(ivals)
     r = np.asarray(readout, dtype=float)
     p_eff = ((r - cfg.dark_offset) / cfg.gain - (1.0 - cfg.visibility) / 2.0) / cfg.visibility
-    p_pair = (p_eff - 0.25 * c_bar) / (1.0 - c_bar)
-    dop_sq = 1.0 - 4.0 * k * p_pair
+    p_pair = (p_eff - 0.25 * table.c_bar) / (1.0 - table.c_bar)
+    dop_sq = 1.0 - 4.0 * table.k * p_pair
     clipped = dop_sq > 1.0
     dop = np.sqrt(np.clip(dop_sq, 0.0, 1.0))
     return MeterDopEstimate(dop=dop, clipped=clipped)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -348,14 +347,14 @@ def rotate_poincare(m: PoincareVector, axis, angle: float) -> PoincareVector:
     return PoincareVector(r1, r2, r3)
 
 
-def rotate_poincare_many(states: Sequence[PoincareVector], axes, angles) -> np.ndarray:
+def rotate_poincare_many(states, axes, angles) -> np.ndarray:
     """Rotate each of L states by each of n (axis, angle) samples: (n, L, 3).
 
     Vectorised ``rotate_poincare``, equal to it bit for bit: the same
-    operation order, axis renormalisation and |M| rescale.  ``axes`` is
-    (n, 3), each within 1e-9 of unit norm; ``angles`` is (n, L).  The result
-    meets the PoincareVector invariants (finite, |M| <= 1 + 1e-12), checked
-    in bulk.
+    operation order, axis renormalisation and |M| rescale.  ``states`` is
+    (L, 3), ``axes`` (n, 3), each within 1e-9 of unit norm, and ``angles``
+    (n, L).  The result meets the PoincareVector invariants (finite,
+    |M| <= 1 + 1e-12), checked in bulk.
     """
     axes = np.asarray(axes, dtype=float)
     a1, a2, a3 = axes[:, 0], axes[:, 1], axes[:, 2]
@@ -369,7 +368,7 @@ def rotate_poincare_many(states: Sequence[PoincareVector], axes, angles) -> np.n
         raise InvariantError(f"rotation axis norm {off[0]:.12g} not within 1e-9 of 1")
     k1, k2, k3 = (a[:, None] / n[:, None] for a in (a1, a2, a3))
 
-    v = np.array([m.as_array() for m in states])
+    v = np.asarray(states, dtype=float)
     v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
@@ -377,9 +376,9 @@ def rotate_poincare_many(states: Sequence[PoincareVector], axes, angles) -> np.n
     r1 = v1 * c + (k2 * v3 - k3 * v2) * s + k1 * radial
     r2 = v2 * c + (k3 * v1 - k1 * v3) * s + k2 * radial
     r3 = v3 * c + (k1 * v2 - k2 * v1) * s + k3 * radial
-    # n0 through PoincareVector.norm: its ``**2`` is libm pow, which differs
-    # from x * x in the last bit for some x.
-    n0 = np.array([m.norm() for m in states])
+    # n0 as PoincareVector.norm takes it: its ``**2`` is libm pow, which
+    # differs from x * x in the last bit for some x.
+    n0 = np.array([math.sqrt(m1**2 + m2**2 + m3**2) for m1, m2, m3 in v.tolist()])
     n1 = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
     scale = np.divide(n0, n1, out=np.ones_like(n1), where=n1 > 0.0)
     r1, r2, r3 = r1 * scale, r2 * scale, r3 * scale

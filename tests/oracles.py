@@ -5,7 +5,9 @@ state at a time, built from the scalar ``polcore`` operations.  The shipped
 array paths -- ``channel.evolve_window``, ``channel.fiber_trace``, the
 batched PMD rotation in ``harness.run_pmd_sweep`` and the batched meter
 readout -- must equal them bit for bit, which ``test_window_path.py`` and
-``test_sweep_batch.py`` check over drawn settings.
+``test_sweep_batch.py`` check over drawn settings.  The inversion constants
+that ``instruments.pair_table`` holds, the mean contamination and the pair
+normalization, are here as the meter inversion once computed them per call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dopsim.instruments import (
     MeterDopEstimate,
     PolarizationTrace,
     invert_meter_readout,
+    pair_table,
     singlet_meter_raw,
 )
 from dopsim.polcore import (
@@ -130,8 +133,30 @@ def singlet_meter_dop(
     """Per-sample DOP estimate of one beam: forward readout plus model inversion."""
     if trace.intensities.ndim != 2:
         raise InvariantError("singlet_meter_dop: reads one beam, not a batch")
-    readout = singlet_meter_raw(trace, cfg, rng)
-    return invert_meter_readout(readout, cfg, trace.wavelengths, trace.intensities[0])
+    table = pair_table(trace.wavelengths, trace.intensities[0], cfg)
+    return invert_meter_readout(singlet_meter_raw(trace, cfg, rng, table), cfg, table)
+
+
+def mean_contamination(pairs: Sequence[tuple[int, int, float]], intensities: Sequence[float]) -> float:
+    """The pairs' contamination averaged with their intensity products
+    I_i I_j as weights."""
+    ivals = np.asarray(intensities, dtype=float)
+    pair_weights = np.array([ivals[i] * ivals[j] for i, j, _ in pairs])
+    if pair_weights.sum() <= 0.0:
+        raise InvariantError("mean_contamination: participating pairs carry no intensity")
+    return float(np.average([c for _, _, c in pairs], weights=pair_weights))
+
+
+def pair_normalization(intensities: Sequence[float]) -> float:
+    """Cross-pair statistics factor k = 1 - sum(w_i^2) with w_i the intensity
+    fractions; relates the distinct-pair projection average to the beam's
+    (1 - DOP^2)/4.  Equals 2 I1 I2 / (I1 + I2)^2 for two lines."""
+    w = np.asarray(intensities, dtype=float)
+    total = w.sum()
+    if total <= 0.0:
+        raise InvariantError("pair_normalization: total intensity must be > 0")
+    w = w / total
+    return float(1.0 - (w**2).sum())
 
 
 def trace_from_snapshots(dt_s: float, snapshots: Sequence[SourceSpec]) -> PolarizationTrace:

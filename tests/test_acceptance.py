@@ -113,9 +113,9 @@ def test_c3_scan_linear_law_and_noise_calibration():
         result = run_fig2_scan(cfg)
         assert len(result.records) == 150
         slope, intercept = predicted_scan_line(cfg)
-        assert result.r_squared >= 1.0 - 1e-12
-        assert abs(result.slope - slope) < 1e-9
-        assert abs(result.intercept - intercept) < 1e-9
+        assert result.summary["r_squared"] >= 1.0 - 1e-12
+        assert abs(result.summary["slope"] - slope) < 1e-9
+        assert abs(result.summary["intercept"] - intercept) < 1e-9
 
         # default-noise spread: ~15 % of the mean on a depolarized beam,
         # small absolute spread (readout units per unit gain) near DOP = 1
@@ -162,7 +162,7 @@ def test_c5_shaken_fiber_meter_stable_polarimeter_degraded():
             results[dop_target] = run_fig3_shake(cfg)
 
         for dop_target, result in results.items():
-            reference = result.reference_meter_dop
+            reference = result.summary["reference_meter_dop"]
             assert abs(reference - dop_target) < 0.02
             for record in result.records:
                 assert abs(record.meter_dop - reference) < 0.03
@@ -171,7 +171,7 @@ def test_c5_shaken_fiber_meter_stable_polarimeter_degraded():
                 assert record.polarimeter_dop < record.meter_dop
 
         dop1_shaken = [r.polarimeter_dop for r in results[1.0].records[1:-1]]
-        assert max(dop1_shaken) <= results[1.0].reference_meter_dop - 0.3
+        assert max(dop1_shaken) <= results[1.0].summary["reference_meter_dop"] - 0.3
 
 
 def test_c6_stack_arithmetic_and_sideband_offsets():

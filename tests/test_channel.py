@@ -23,9 +23,15 @@ def make_two_line(m1=None, m2=None, i1=1.0, i2=1.0):
     return two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
 
 
+def source_trace(src, axes, retardances):
+    """``src``'s beam behind the fiber states, referenced at 1552 nm."""
+    lines = np.array([line.poincare().as_array() for line in src.lines])
+    return fiber_trace(src.wavelengths_nm(), src.intensities(), lines, axes, retardances, 1552.0, 1.0)
+
+
 def through_fiber(src, axis, retardance):
     """The lines' Poincare vectors (L, 3) behind one fiber state, referenced at 1552 nm."""
-    return fiber_trace(src, np.array([axis], dtype=float), np.array([retardance]), 1552.0, 1.0).poincare[0]
+    return source_trace(src, np.array([axis], dtype=float), np.array([retardance])).poincare[0]
 
 
 class TestApplyFiber:
@@ -50,7 +56,7 @@ class TestApplyFiber:
     def test_preserves_norm_and_intensity(self):
         rng = np.random.default_rng(211)
         src = make_two_line(random_poincare(rng, pure=True), random_poincare(rng, pure=True), 0.7, 1.3)
-        trace = fiber_trace(src, random_unit_vector(rng)[None], np.array([2.3]), 1552.0, 1.0)
+        trace = source_trace(src, random_unit_vector(rng)[None], np.array([2.3]))
         assert trace.intensities[0].tolist() == list(src.intensities())
         for line, out in zip(src.lines, trace.poincare[0]):
             assert abs(line.poincare().norm() - np.linalg.norm(out)) < 1e-12

@@ -112,8 +112,9 @@ def test_exit_code_and_message(case, tmp_path_factory, capsys, monkeypatch):
 
 
 #: Changes to the shipped configs that once ended in a traceback, a run with
-#: no end, or an exit 2 whose message named no field: (id, config, change,
-#: the field the error must name).
+#: no end, an exit 2 whose message named no field, an exit 3, or a run that
+#: failed (or reported a meaningless fit) where ``validate-config`` said OK:
+#: (id, config, change, the field the error must name).
 ONCE_UNNAMED = [
     ("scan_points", "fig2_scan", {"scan": {"base_count": 2**63}}, "scan.base_count"),
     ("scan_samples", "fig2_scan", {"scan": {"samples_per_point": 2**63}}, "scan.samples_per_point"),
@@ -135,6 +136,17 @@ ONCE_UNNAMED = [
     ("calibrate_no_visibility", "calibrate", {"meter": {"visibility": 0}}, "meter.visibility"),
     ("shake_intensity_1e300", "fig3_shake", {"source": {"intensity1": 1e300}}, "source.intensity1"),
     ("shake_intensity2_1e300", "fig3_shake", {"source": {"intensity2": 1e300}}, "source.intensity2"),
+    ("scan_degenerate_pair", "fig2_scan", {"source": {"lambda2_nm": 1552.0000000001}}, "source.lambda2_nm"),
+    ("shake_degenerate_pair", "fig3_shake", {"source": {"lambda2_nm": 1552.0000000001}}, "source.lambda2_nm"),
+    ("calibrate_degenerate_pair", "calibrate", {"source": {"lambda2_nm": 1552.0000000001}}, "source.lambda2_nm"),
+    ("pmd_degenerate_sidebands", "pmd_sweep", {"source": {"bitrate_hz": 1e3}}, "source.bitrate_hz"),
+    ("scan_gain_1e300", "fig2_scan", {"meter": {"gain": 1e300}}, "meter.gain"),
+    ("scan_dark_offset_1e300", "fig2_scan", {"meter": {"dark_offset": 1e300}}, "meter.dark_offset"),
+    ("scan_noise_1e300", "fig2_scan", {"meter": {"noise_sigma_rel": 1e300}}, "meter.noise_sigma_rel"),
+    (
+        "shake_retardance_kick_huge", "fig3_shake",
+        {"channel": {"retardance_sigma_rad": 1.7e308, "correlation_time_s": 1e-6}}, "channel.retardance_sigma_rad",
+    ),
 ]
 
 
@@ -154,7 +166,11 @@ def test_once_unnamed_error_names_its_field(tmp_path, capsys, config, change, fi
     path.write_text(json.dumps(doc))
     command = harness.SCENARIOS[doc["scenario"]].command
     assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    # validate-config rejects it with the same message
+    assert cli_main(["validate-config", str(path)]) == 2
+    assert capsys.readouterr().err == err
 
 
 #: One output per key, each named in a directory that does not exist and
@@ -198,9 +214,11 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: --out: cannot make directory ")
 
 
-def test_overflow_during_a_run_exits_3(tmp_path, capsys):
-    # a readout scale whose square leaves the float range: the fit's
-    # residuals overflow, a numerical failure rather than a warning
+def test_overflow_during_a_run_exits_3(tmp_path, capsys, monkeypatch):
+    # a readout scale whose square leaves the float range, let past the
+    # load-time check that rejects it: the fit's residuals overflow, a
+    # numerical failure rather than a warning
+    monkeypatch.setattr(harness, "check", lambda cfg: None)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(merged(BASES["fig2_scan"], {"meter": {"gain": 1e300}})))
     out = tmp_path / "out"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dopsim
-from dopsim import harness
+from dopsim import harness, sources
 from dopsim.cli import cli_main
 from dopsim.harness import (
     ConfigError,
@@ -127,6 +127,25 @@ class TestConfigLoading:
         ]
         assert sorted(documented) == sorted(expected)
 
+    @pytest.mark.parametrize(
+        "section,fields,field",
+        [
+            ("meter", {"gain": 1e151}, "meter.gain"),
+            ("meter", {"dark_offset": -1e151}, "meter.dark_offset"),
+            ("meter", {"gain": 1e100, "noise_sigma_rel": 1e60}, "meter.gain"),
+            ("meter", {"noise_sigma_rel": 1e150}, "meter.noise_sigma_rel"),
+            ("channel", {"retardance_mean_rad": -1e151}, "channel.retardance_mean_rad"),
+            ("channel", {"retardance_mean_rad": 1e149, "retardance_sigma_rad": 1e149}, "channel.retardance_sigma_rad"),
+            ("channel", {"axis_diffusion_rad2_per_s": 1e154}, "channel.axis_diffusion_rad2_per_s"),
+        ],
+    )
+    def test_scale_bounds_name_their_largest_term(self, section, fields, field):
+        # the readout scale (gain + |dark_offset|) (1 + 10 noise_sigma_rel)
+        # and the walk's reach stay within 1e150; dt_s is 1e-3 for shake
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: .* exceeds 1e\+150"):
+            load_config(dict(SMALL_SHAKE, **{section: fields}))
+        assert load_config(dict(SMALL_SHAKE, **{section: {key: 1e-12 * value for key, value in fields.items()}}))
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -140,10 +159,10 @@ class TestScan:
         result = run_fig2_scan(cfg)
         assert len(result.records) == 150
         slope, intercept = predicted_scan_line(cfg)
-        assert abs(result.slope - slope) < 1e-9
-        assert abs(result.intercept - intercept) < 1e-9
-        assert result.r_squared >= 1.0 - 1e-12
-        for level in result.per_level:
+        assert abs(result.summary["slope"] - slope) < 1e-9
+        assert abs(result.summary["intercept"] - intercept) < 1e-9
+        assert result.summary["r_squared"] >= 1.0 - 1e-12
+        for level in result.summary["per_level"]:
             assert level["repeats"] == 15
             assert level["readout_std"] < 1e-12
 
@@ -162,10 +181,10 @@ class TestScan:
             }
         )
         result = run_fig2_scan(cfg)
-        assert result.r_squared >= 1.0 - 1e-12
+        assert result.summary["r_squared"] >= 1.0 - 1e-12
         slope, intercept = predicted_scan_line(cfg)
-        assert abs(result.slope - slope) < 1e-9
-        assert abs(result.intercept - intercept) < 1e-9
+        assert abs(result.summary["slope"] - slope) < 1e-9
+        assert abs(result.summary["intercept"] - intercept) < 1e-9
 
     def test_per_circle_normalization_supported(self):
         cfg = load_config(
@@ -173,7 +192,7 @@ class TestScan:
              "meter": {"noise_sigma_rel": 0.0}}
         )
         result = run_fig2_scan(cfg)
-        top = [level for level in result.per_level if level["two_phi_deg"] == 90.0][0]
+        top = [level for level in result.summary["per_level"] if level["two_phi_deg"] == 90.0][0]
         assert abs(top["normalized_mean"] - 1.0) < 1e-12
 
     def test_per_circle_reference_on_every_circle(self):
@@ -193,7 +212,7 @@ class TestScan:
                 ref = np.mean([r.readout_mean for r in result.records if r.circle == c and r.two_phi_deg == 90.0])
                 ratios += [r.readout_mean / ref for r in result.records if r.circle == c and r.two_phi_deg == level]
             expected.append(float(np.mean(ratios)))
-        assert [level["normalized_mean"] for level in result.per_level] == expected
+        assert [level["normalized_mean"] for level in result.summary["per_level"]] == expected
 
 
 class TestShake:
@@ -211,7 +230,7 @@ class TestShake:
     def test_meter_stable_polarimeter_drops(self):
         result = run_fig3_shake(load_config(SMALL_SHAKE))
         for r in result.records:
-            assert abs(r.meter_dop - result.reference_meter_dop) < 0.03
+            assert abs(r.meter_dop - result.summary["reference_meter_dop"]) < 0.03
         for r in result.records[1:-1]:
             assert r.polarimeter_dop < r.meter_dop
 
@@ -342,7 +361,7 @@ class TestPmdSweep:
     def test_degenerate_geometry_flagged_not_raised(self):
         doc = {"scenario": "pmd_sweep", "pmd": {"axis": [0.0, 0.0, 1.0]}}
         result = run_pmd_sweep(load_config(doc))
-        assert result.degenerate_geometry
+        assert result.summary["degenerate_geometry"]
         for r in result.records:
             assert abs(r.source_dop - 1.0) < 1e-12
 
@@ -368,6 +387,10 @@ def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+DEGENERATE = (
+    "{field}: the line pairs are fully degenerate (mean contamination 1), so the meter reading cannot be inverted"
+)
 
 EMPTY_MEASUREMENTS = {
     "scan_far_lines": (
@@ -411,6 +434,24 @@ EMPTY_MEASUREMENTS = {
     "scan_zero_visibility": (
         "scan", {"scenario": "fig2_scan", "meter": {"visibility": 0}},
         "meter.visibility: must be > 0.0, got 0.0",
+    ),
+    # lines so close that their contamination rounds to 1: the pair reads
+    # 1/4 whatever the polarization
+    "scan_degenerate_pair": (
+        "scan", {"scenario": "fig2_scan", "source": {"lambda1_nm": 1552.0, "lambda2_nm": 1552.0000000001}},
+        DEGENERATE.format(field="source.lambda2_nm"),
+    ),
+    "shake_degenerate_pair": (
+        "shake", dict(SMALL_SHAKE, source={"lambda1_nm": 1552.0, "lambda2_nm": 1552.0000000001}),
+        DEGENERATE.format(field="source.lambda2_nm"),
+    ),
+    "calibrate_degenerate_pair": (
+        "calibrate", {"scenario": "calibrate", "source": {"lambda1_nm": 1552.0, "lambda2_nm": 1552.0000000001}},
+        DEGENERATE.format(field="source.lambda2_nm"),
+    ),
+    "pmd_degenerate_sidebands": (
+        "pmd", {"scenario": "pmd_sweep", "source": {"bitrate_hz": 1e3}},
+        DEGENERATE.format(field="source.bitrate_hz"),
     ),
 }
 
@@ -566,6 +607,19 @@ class TestCli:
         assert cli_main(["scan", "--config", path, "--out", str(out)]) == 0
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["seed"] == 123
+
+    def test_no_runner_builds_a_source_spec(self, tmp_path, monkeypatch):
+        # the runners take their lines from the line set and build the
+        # beams as arrays
+        def built(*args, **kwargs):
+            raise AssertionError("a runner built a SourceSpec")
+
+        for name in ("two_laser_source", "modulated_carrier_source", "source_dop"):
+            monkeypatch.setattr(sources, name, built)
+        monkeypatch.setattr(sources.SourceSpec, "__post_init__", built)
+        for config in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+            command = harness.SCENARIOS[json.loads(config.read_text())["scenario"]].command
+            assert cli_main([command, "--config", str(config), "--out", str(tmp_path / config.stem)]) == 0
 
     def test_console_entry_point(self, tmp_path):
         path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})

@@ -15,7 +15,7 @@ from dopsim.instruments import (
     effective_length,
     invert_meter_readout,
     mc_pair_singlet,
-    pair_normalization,
+    pair_table,
     pair_projection_probability,
     polarimeter_dop,
     singlet_meter_raw,
@@ -39,7 +39,7 @@ from dopsim.sources import (
     two_laser_source,
 )
 from helpers import random_density, random_poincare, random_unit_vector
-from oracles import apply_fiber, singlet_meter_dop, trace_from_snapshots
+from oracles import apply_fiber, mean_contamination, pair_normalization, singlet_meter_dop, trace_from_snapshots
 
 IDEAL = MeterConfig(visibility=1.0)
 
@@ -235,12 +235,12 @@ class TestSingletMeterDop:
 
     def test_readout_at_dark_reads_full_polarization(self):
         cfg = MeterConfig(visibility=0.96, dark_offset=0.2)
-        est = invert_meter_readout(np.array([0.2]), cfg, (1552.0, 1554.0), (1.0, 1.0))
+        est = invert_meter_readout(np.array([0.2]), cfg, pair_table((1552.0, 1554.0), (1.0, 1.0), cfg))
         assert est.dop[0] == 1.0
         assert est.clipped[0]
 
     def test_below_dark_floor_flags_not_raises(self):
-        est = invert_meter_readout(np.array([-0.05]), IDEAL, (1552.0, 1554.0), (1.0, 1.0))
+        est = invert_meter_readout(np.array([-0.05]), IDEAL, pair_table((1552.0, 1554.0), (1.0, 1.0), IDEAL))
         assert est.dop[0] == 1.0
         assert est.clipped[0]
 
@@ -370,8 +370,7 @@ class TestPolarimeter:
                 invert_meter_readout(
                     np.array([singlet_meter_raw(trace, IDEAL).mean()]),
                     IDEAL,
-                    trace.wavelengths,
-                    trace.intensities[0],
+                    pair_table(trace.wavelengths, trace.intensities[0], IDEAL),
                 ).dop[0]
             )
             pol = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=1.0))[0]
@@ -391,8 +390,24 @@ class TestPairSampling:
             assert abs(result.estimate - expected) <= 3.0 * result.stderr
 
     def test_pair_normalization_two_lines(self):
-        assert abs(pair_normalization((1.0, 1.0)) - 0.5) < 1e-15
-        assert abs(pair_normalization((3.0, 1.0)) - 2 * 3 / 16) < 1e-15
+        assert abs(pair_table((1552.0, 1554.0), (1.0, 1.0), IDEAL).k - 0.5) < 1e-15
+        assert abs(pair_table((1552.0, 1554.0), (3.0, 1.0), IDEAL).k - 2 * 3 / 16) < 1e-15
+
+    def test_table_constants_equal_the_per_call_formulas(self):
+        # two- and three-line sets, lines 0.05 to 4 nm apart: within and
+        # beyond the acceptance, some below the minimum separation
+        rng = np.random.default_rng(353)
+        contaminated = 0
+        for _ in range(2000):
+            n_lines = int(rng.integers(2, 4))
+            wavelengths = 1550.0 + np.cumsum(rng.uniform(0.05, 4.0, size=n_lines))
+            intensities = tuple(rng.uniform(0.05, 3.0, size=n_lines).tolist())
+            table = pair_table(wavelengths, intensities, IDEAL)
+            assert table.k == pair_normalization(intensities)
+            if table.pairs:
+                assert table.c_bar == mean_contamination(table.pairs, intensities)
+                contaminated += table.c_bar > 0.0
+        assert contaminated > 100
 
     def test_deterministic_under_seed(self):
         trace_src = two_laser_source(
@@ -433,8 +448,7 @@ class TestFiberScrambledOrdering:
         meter = invert_meter_readout(
             np.array([singlet_meter_raw(trace, IDEAL).mean()]),
             IDEAL,
-            trace.wavelengths,
-            (1.0, 1.0),
+            pair_table(trace.wavelengths, (1.0, 1.0), IDEAL),
         ).dop[0]
         pol = polarimeter_dop(trace, PolarimeterConfig(integration_time_s=10.0))[0]
         assert meter > 0.99

@@ -300,7 +300,7 @@ class TestRotatePoincareMany:
         states = pow_trap + pool[:1000]
         axes = np.array([random_unit_vector(rng) * (1 + rng.uniform(-1e-10, 1e-10)) for _ in range(3)])
         angles = rng.uniform(-10, 10, size=(3, len(states)))
-        out = rotate_poincare_many(states, axes, angles)
+        out = rotate_poincare_many(np.array([m.as_array() for m in states]), axes, angles)
         rotated = [
             [rotate_poincare(m, axis, angle) for m, angle in zip(states, row)]
             for axis, row in zip(axes, angles)
@@ -312,7 +312,7 @@ class TestRotatePoincareMany:
         assert np.array_equal(poincare_round_trip(out), np.array(expected))
 
     def test_axis_checks(self):
-        m = [PoincareVector(0, 0, 1)]
+        m = [(0.0, 0.0, 1.0)]
         with pytest.raises(UndefinedDirectionError):
             rotate_poincare_many(m, [(0, 0, 0)], [[1.0]])
         with pytest.raises(InvariantError):
@@ -322,7 +322,7 @@ class TestRotatePoincareMany:
 
     def test_non_finite_result_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(InvariantError):
-            rotate_poincare_many([PoincareVector(0, 0, 1)], [(1, 0, 0)], [[math.inf]])
+            rotate_poincare_many([(0.0, 0.0, 1.0)], [(1, 0, 0)], [[math.inf]])
 
 
 class TestMixtureDopMany:

@@ -6,6 +6,7 @@ is the oracle.  The window path must equal it bit for bit
 (``np.array_equal``), over drawn channel, source and instrument settings.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -23,8 +24,8 @@ from dopsim.channel import FiberState, FluctuationProcess, evolve_window, fiber_
 from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
-from dopsim.instruments import invert_meter_readout, polarimeter_dop, singlet_meter_raw
-from dopsim.polcore import NumericsError, poincare_angle
+from dopsim.instruments import invert_meter_readout, pair_table, polarimeter_dop, singlet_meter_raw
+from dopsim.polcore import InvariantError, NumericsError, poincare_angle
 from dopsim.sources import great_circle_pair, two_laser_source
 from oracles import apply_fiber, evolve, trace_from_snapshots
 
@@ -132,7 +133,7 @@ def per_sample_run(cfg):
         trace = trace_from_snapshots(cfg.dt_s, snapshots)
         readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0 else None)
         estimate = invert_meter_readout(
-            np.array([readout.mean()]), meter, trace.wavelengths, src.intensities()
+            np.array([readout.mean()]), meter, pair_table(trace.wavelengths, src.intensities(), meter)
         )
         pol = polarimeter_dop(trace, pol_cfg, rng_pol if pol_cfg.noise_sigma_rel > 0 else None)
         records.append(
@@ -167,7 +168,8 @@ def test_window_equals_evolve_and_apply_fiber_loop(doc, channel_seed):
     assert np.array_equal(axes, np.array([f.axis for f in fibers], dtype=float))
     assert np.array_equal(retardances, np.array([f.retardance_ref_rad for f in fibers]))
 
-    trace = fiber_trace(src, axes, retardances, ref, cfg.dt_s)
+    lines = np.array([line.poincare().as_array() for line in src.lines])
+    trace = fiber_trace(src.wavelengths_nm(), src.intensities(), lines, axes, retardances, ref, cfg.dt_s)
     oracle = trace_from_snapshots(cfg.dt_s, [apply_fiber(src, f) for f in fibers])
     assert np.array_equal(trace.wavelengths, oracle.wavelengths)
     assert np.array_equal(trace.intensities, oracle.intensities)
@@ -250,8 +252,9 @@ def test_failed_run_leaves_no_trajectory(tmp_path):
 
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
 def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys, monkeypatch, forked):
-    # a retardance kick near the float limit: the walk's state overflows in
-    # its first block, an error of the walk, not a numerical failure
+    # a retardance kick near the float limit: the config check names the
+    # field; let past it, the walk's state overflows in its first block, an
+    # error of the walk that reaches the caller from the child
     if not forked:
         monkeypatch.delattr(os, "fork")
     doc = {
@@ -264,7 +267,19 @@ def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys, monkeypatch
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli_main(["shake", "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: evolve_window: fiber state left the finite range\n"
+    assert capsys.readouterr().err == (
+        "config error: channel.retardance_sigma_rad: the retardance walk's reach "
+        "|retardance_mean_rad| + 10 retardance_sigma_rad exceeds 1e+150 rad\n"
+    )
+    assert not out.exists()
+
+    cfg = load_config(dict(doc, channel={}))
+    cfg = dataclasses.replace(
+        cfg, channel=dataclasses.replace(cfg.channel, retardance_sigma_rad=1.7e308, correlation_time_s=1e-6)
+    )
+    out.mkdir()
+    with pytest.raises(InvariantError, match="^evolve_window: fiber state left the finite range$"):
+        run_fig3_shake(cfg, trajectory_csv=out / "trajectory.csv")
     assert list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
