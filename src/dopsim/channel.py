@@ -86,12 +86,16 @@ def fiber_trace(
     (axes[t], retardances[t]) at the reference wavelength: sample t turns
     each line about axes[t] by retardances[t] * ref_wavelength_nm /
     wavelength, and a zero retardance leaves the lines as given.
-    ``tests/oracles.py`` holds the per-state reference, ``apply_fiber``."""
+    ``tests/oracles.py`` holds the per-state reference, ``apply_fiber``.
+    The trace's Poincare vectors are a view of (L, 3, n) storage, as
+    ``rotate_poincare_many`` makes them, so each line's component is one
+    contiguous run of samples."""
     wavelengths = np.array(wavelengths_nm, dtype=float)
     lines = np.asarray(lines, dtype=float)
-    angles = retardances[:, None] * ref_wavelength_nm / wavelengths
-    rotated = poincare_round_trip(rotate_poincare_many(lines, axes, angles))
-    mvecs = np.where((retardances == 0.0)[:, None, None], lines, rotated)
+    # (L, n): line l turns by retardances * ref_wavelength_nm / wavelengths[l]
+    angles = (retardances * ref_wavelength_nm) / wavelengths[:, None]
+    mvecs = poincare_round_trip(rotate_poincare_many(lines, axes, angles.T))
+    mvecs[retardances == 0.0] = lines
     intensities = np.broadcast_to(np.array(intensities, dtype=float), mvecs.shape[:2])
     return PolarizationTrace(dt_s, wavelengths, intensities, mvecs)
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -16,7 +17,10 @@ from .harness import SCENARIOS, ConfigError, load_config_file
 from .polcore import DopsimError, NumericsError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dopsim",
         description="Degree-of-polarization measurement scenarios: great-circle scan, "

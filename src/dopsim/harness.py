@@ -77,11 +77,24 @@ MAX_COUNT = 2**16
 #: 1e12; the records print 1 - DOP^2 to 12 digits, where it does not show.
 SCAN_MIN_SPREAD = 1e-12
 
-#: Largest readout scale, (gain + |dark_offset|) (1 + 10 noise_sigma_rel), a
-#: meter may have: the square of a readout, summed over MAX_SAMPLES samples
-#: by a readout std or over MAX_COUNT points by the scan's line fit, stays
-#: far inside the float range.
+#: Largest readout scale an instrument may have: the meter's
+#: (gain + |dark_offset|) (1 + 10 noise_sigma_rel) and the polarimeter's
+#: (intensity1 + intensity2) (1 + 10 noise_sigma_rel).  The square of a
+#: readout, summed over MAX_SAMPLES samples by a readout std or over
+#: MAX_COUNT points by the scan's line fit, and the squared norm of a noisy
+#: Stokes vector stay far inside the float range.
 MAX_READOUT_SCALE = 1e150
+
+#: Smallest signal a meter may have: the readout span V (1 - c_bar) / 2, in
+#: units of gain, between a fully polarized and a depolarized balanced beam.
+#: A smaller span is lost in the rounding of a readout of the order of the
+#: gain (the calibration references do not separate), and the inversion's
+#: divisions by V and 1 - c_bar can leave the float range.
+MIN_SIGNAL = 1e-9
+
+#: Largest sum of a line set's pair weights I_i I_j: the meter's per-sample
+#: weight sum stays inside the float range.
+MAX_PAIR_WEIGHT = 1e300
 
 #: Largest reach the shake channel's walk may have, in rad for the
 #: retardance (|retardance_mean_rad| + 10 retardance_sigma_rad) and in rad^2
@@ -537,8 +550,9 @@ def line_set(cfg: ScenarioConfig) -> LineSet:
 
     A line set the meter cannot read is a config error naming the field that
     makes it so: no line pair within the acceptance, none with light in both
-    lines, a pair whose intensity product -- the meter's weight for it --
-    overflows, or pairs so close that their mean contamination reaches 1.
+    lines, pair weights -- the intensity products I_i I_j -- that sum past
+    MAX_PAIR_WEIGHT, pairs so close that their mean contamination reaches 1,
+    or a meter signal below MIN_SIGNAL.
     """
     src, carrier = cfg.two_laser, cfg.carrier
     if src is not None:
@@ -553,6 +567,7 @@ def line_set(cfg: ScenarioConfig) -> LineSet:
         )
         wavelength_field = "source.lambda2_nm"
         intensity_field = "source.intensity1" if src.intensity1 == 0.0 else "source.intensity2"
+        heavier_field = "source.intensity1" if src.intensity1 >= src.intensity2 else "source.intensity2"
     else:
         if not 0.0 < sum(carrier.intensity_split) < math.inf:
             raise ConfigError("source.intensity_split: weights must have a positive finite sum")
@@ -563,7 +578,8 @@ def line_set(cfg: ScenarioConfig) -> LineSet:
         if not 0.0 < wavelengths[0] < wavelengths[1] < wavelengths[2] < math.inf:
             raise ConfigError(f"source.bitrate_hz: sidebands {offset:.6g} nm off the carrier are not distinct lines")
         order, intensities = (0, 1, 2), carrier.intensity_split
-        wavelength_field, intensity_field = "source.bitrate_hz", "source.intensity_split"
+        wavelength_field = "source.bitrate_hz"
+        intensity_field = heavier_field = "source.intensity_split"
 
     table = pair_table(wavelengths, intensities, cfg.meter)
     if not table.pairs:
@@ -574,12 +590,21 @@ def line_set(cfg: ScenarioConfig) -> LineSet:
     weights = [intensities[i] * intensities[j] for i, j, _ in table.pairs]
     if not any(w > 0.0 for w in weights):
         raise ConfigError(f"{intensity_field}: no line pair within the meter acceptance carries light")
-    if not all(map(math.isfinite, weights)):
-        raise ConfigError(f"{intensity_field}: the intensity product of a line pair overflows")
+    if not sum(weights) <= MAX_PAIR_WEIGHT:
+        raise ConfigError(
+            f"{heavier_field}: the pair weights, the intensity products I_i I_j, sum past {MAX_PAIR_WEIGHT:g}"
+        )
     if table.c_bar >= 1.0:
         raise ConfigError(
             f"{wavelength_field}: the line pairs are fully degenerate (mean contamination 1), "
             "so the meter reading cannot be inverted"
+        )
+    # the error names the field of the smaller factor of the signal
+    signal = {"meter.visibility": cfg.meter.visibility, wavelength_field: 1.0 - table.c_bar}
+    if not math.prod(signal.values()) / 2.0 >= MIN_SIGNAL:
+        raise ConfigError(
+            f"{min(signal, key=signal.get)}: the meter's signal visibility (1 - c_bar) / 2 "
+            f"is below {MIN_SIGNAL:g} of its gain"
         )
     return LineSet(wavelengths, intensities, order, table)
 
@@ -633,10 +658,16 @@ def check(cfg: ScenarioConfig) -> None:
     if shake is not None:
         if not math.isfinite(shake.base_angle_deg + shake.two_phi_deg):
             raise ConfigError("shake.two_phi_deg: base_angle_deg + two_phi_deg leaves the float range")
-        total = src.intensity1 + src.intensity2
-        if not math.isfinite(total * total):  # the polarimeter's |S|^2 <= S0^2
-            heavier = "source.intensity1" if src.intensity1 >= src.intensity2 else "source.intensity2"
-            raise ConfigError(f"{heavier}: the squared Stokes magnitude (intensity1 + intensity2)^2 overflows")
+        heavier = "source.intensity1" if src.intensity1 >= src.intensity2 else "source.intensity2"
+        stokes = {
+            heavier: src.intensity1 + src.intensity2,
+            "polarimeter.noise_sigma_rel": 1.0 + 10.0 * cfg.polarimeter.noise_sigma_rel,
+        }
+        if not math.prod(stokes.values()) <= MAX_READOUT_SCALE:
+            raise ConfigError(
+                f"{max(stokes, key=stokes.get)}: the polarimeter's readout scale "
+                f"(intensity1 + intensity2) (1 + 10 noise_sigma_rel) exceeds {MAX_READOUT_SCALE:g}"
+            )
         chan = cfg.channel
         reach = {
             "retardance_mean_rad": abs(chan.retardance_mean_rad),
@@ -646,6 +677,14 @@ def check(cfg: ScenarioConfig) -> None:
             raise ConfigError(
                 f"channel.{max(reach, key=reach.get)}: the retardance walk's reach "
                 f"|retardance_mean_rad| + 10 retardance_sigma_rad exceeds {MAX_WALK:g} rad"
+            )
+        # the fiber turns the shortest line the most, by retardance * ref_wavelength_nm / wavelength
+        if chan.ref_wavelength_nm is not None and not (
+            sum(reach.values()) * chan.ref_wavelength_nm / lines.wavelengths[0] <= MAX_WALK
+        ):
+            raise ConfigError(
+                "channel.ref_wavelength_nm: the fiber's largest turn, the retardance walk's reach "
+                f"times ref_wavelength_nm / the shortest line wavelength, exceeds {MAX_WALK:g} rad"
             )
         if not chan.axis_diffusion_rad2_per_s * cfg.dt_s <= MAX_WALK:
             raise ConfigError(
@@ -972,8 +1011,17 @@ class ShakeRecord(NamedTuple):
 
 
 def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Sphere angle of each row of m (n, 3) from ref (3,), as poincare_angle."""
-    cos = (m @ ref) / (np.linalg.norm(m, axis=1) * np.linalg.norm(ref))
+    """Sphere angle of each row of m (n, 3) from ref (3,), as poincare_angle.
+
+    The norms run along the samples, adding the squares in component order
+    as ``np.linalg.norm(m, axis=1)`` does.  The dot products are one BLAS
+    call on rows in C order, whatever m's memory order: BLAS takes a
+    column-major matrix through another kernel, which differs in the last
+    bit."""
+    ref = np.ascontiguousarray(ref)
+    m1, m2, m3 = m[:, 0], m[:, 1], m[:, 2]
+    norms = np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+    cos = (np.ascontiguousarray(m) @ ref) / (norms * np.linalg.norm(ref))
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
@@ -1160,12 +1208,12 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> RunResult:
     degenerate = abs(float(axis @ m0) / (axis_norm * m0_norm)) > 1.0 - 1e-9
 
     dgd = np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps)
-    # zero DGD leaves the lines as configured
-    angles = dgd[:, None] * pmd_turns(lines.wavelengths, carrier.carrier_nm)
+    # (steps, L), the transpose of one row of steps per line
+    angles = (pmd_turns(lines.wavelengths, carrier.carrier_nm)[:, None] * dgd).T
     axes = np.broadcast_to(axis / axis_norm, (len(dgd), 3))
     line_vectors = np.broadcast_to(poincare_round_trip(m0), (len(lines.wavelengths), 3))
-    rotated = rotate_poincare_many(line_vectors, axes, angles)
-    mvecs = np.where((dgd == 0.0)[:, None, None], m0, rotated)
+    mvecs = rotate_poincare_many(line_vectors, axes, angles)
+    mvecs[dgd == 0.0] = m0  # zero DGD leaves the lines as configured
 
     source_dop = mixture_dop_many(mvecs, lines.intensities)
     trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, poincare_round_trip(mvecs), 1)

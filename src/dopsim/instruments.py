@@ -202,19 +202,16 @@ class PolarizationTrace:
         )
 
 
-def _trailing_mean(values: np.ndarray, window: int, axis: int) -> np.ndarray:
-    """Causal moving average over up to `window` samples ending at each index
-    of the sample axis `axis`; no window reaches across another axis."""
+def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
+    """Causal moving average over up to `window` samples ending at each
+    sample of the last axis; no window reaches across another axis."""
     if window <= 1:
         return values
-    samples = np.moveaxis(values, axis, 0)
-    csum = np.cumsum(samples, axis=0, dtype=float)
+    csum = np.cumsum(values, axis=-1, dtype=float)
     out = np.empty_like(csum)
-    out[:window] = csum[:window]
-    out[window:] = csum[window:] - csum[:-window]
-    counts = np.minimum(np.arange(1, len(samples) + 1), window)
-    shape = (len(samples),) + (1,) * (samples.ndim - 1)
-    return np.moveaxis(out / counts.reshape(shape), 0, axis)
+    out[..., :window] = csum[..., :window]
+    out[..., window:] = csum[..., window:] - csum[..., :-window]
+    return out / np.minimum(np.arange(1, values.shape[-1] + 1), window)
 
 
 def two_stage_projector(stage_phase_rad: float = 0.0) -> TwoPhotonOperator:
@@ -311,18 +308,23 @@ def singlet_meter_raw(
         table = pair_table(trace.wavelengths, np.ones(len(trace.wavelengths)), cfg)
 
     intensities, mvecs = trace.intensities, trace.poincare
+    n_lines, shape = len(trace.wavelengths), intensities.shape[:-1]
     # a window as long as the trace reads like any longer one
     window = max(1, int(round(min(cfg.response_time_s / trace.dt_s, len(trace)))))
-    s0 = _trailing_mean(intensities, window, axis=-2)
-    svec = _trailing_mean(intensities[..., None] * mvecs, window, axis=-3)
-    safe_s0 = np.where(s0 > 0.0, s0, 1.0)
-    m_avg = np.where(s0[..., None] > 0.0, svec / safe_s0[..., None], 0.0)
+    # each line's averaged power and Poincare vector, one sample plane per
+    # component: m_avg is a (..., n, L, 3) view of (L, 3, ..., n) storage
+    s0 = [_trailing_mean(intensities[..., l], window) for l in range(n_lines)]
+    m_avg = np.zeros((n_lines, 3) + shape)
+    for l, power in enumerate(s0):
+        for k in range(3):
+            svec = _trailing_mean(intensities[..., l] * mvecs[..., l, k], window)
+            np.divide(svec, power, out=m_avg[l, k], where=power > 0.0)
+    m_avg = np.moveaxis(m_avg, (0, 1), (-2, -1))
 
-    shape = s0.shape[:-1]
     weighted = np.zeros(shape)
     weights = np.zeros(shape)
     for i, j, c in table.pairs:
-        w = s0[..., i] * s0[..., j]
+        w = s0[i] * s0[j]
         p = pair_projection_probability(m_avg[..., i, :], m_avg[..., j, :], cfg.stage_phase_rad)
         weighted += w * ((1.0 - c) * p + 0.25 * c)
         weights += w
@@ -386,13 +388,23 @@ def polarimeter_dop(
     if window < 1 or len(trace) < window:
         raise InvariantError("polarimeter_dop: trace shorter than the integration time")
 
-    s0 = trace.intensities.sum(axis=-1)
-    svec = (trace.intensities[..., None] * trace.poincare).sum(axis=-2)
+    # the power and the Stokes vector, the lines summed in order, one sample plane each
+    intensities, mvecs = trace.intensities, trace.poincare
+    s0 = intensities[..., 0].copy()
+    svec = [intensities[..., 0] * mvecs[..., 0, k] for k in range(3)]
+    for l in range(1, len(trace.wavelengths)):
+        s0 += intensities[..., l]
+        for k in range(3):
+            svec[k] += intensities[..., l] * mvecs[..., l, k]
     batch, n_windows = s0.shape[:-1], len(trace) // window
     used = n_windows * window
     stokes = np.empty(batch + (n_windows, 4))
     stokes[..., 0] = s0[..., :used].reshape(batch + (n_windows, window)).mean(axis=-1)
-    stokes[..., 1:] = svec[..., :used, :].reshape(batch + (n_windows, window, 3)).mean(axis=-2)
+    for k in range(3):
+        # a running sum adds each window's samples in order, as a mean over
+        # (samples, 3) rows does; a mean along contiguous samples sums pairwise
+        sums = np.cumsum(svec[k][..., :used].reshape(batch + (n_windows, window)), axis=-1)[..., -1]
+        stokes[..., 1 + k] = sums / window
     # an overflow shows as a non-finite DOP, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.noise_sigma_rel > 0.0:

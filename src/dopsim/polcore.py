@@ -355,6 +355,11 @@ def rotate_poincare_many(states, axes, angles) -> np.ndarray:
     (L, 3), ``axes`` (n, 3), each within 1e-9 of unit norm, and ``angles``
     (n, L).  The result meets the PoincareVector invariants (finite,
     |M| <= 1 + 1e-12), checked in bulk.
+
+    Every operation runs along the samples, on (L, n) planes of one
+    component each, and the result is a view of (L, 3, n) storage: one
+    contiguous run of samples per line and component.  ``angles`` given as
+    the transpose of an (L, n) array is read without a copy.
     """
     axes = np.asarray(axes, dtype=float)
     a1, a2, a3 = axes[:, 0], axes[:, 1], axes[:, 2]
@@ -366,35 +371,41 @@ def rotate_poincare_many(states, axes, angles) -> np.ndarray:
     off = n[np.abs(n - 1.0) > ATOL_INPUT]
     if off.size:
         raise InvariantError(f"rotation axis norm {off[0]:.12g} not within 1e-9 of 1")
-    k1, k2, k3 = (a[:, None] / n[:, None] for a in (a1, a2, a3))
+    k1, k2, k3 = a1 / n, a2 / n, a3 / n
 
     v = np.asarray(states, dtype=float)
-    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
-    angles = np.asarray(angles, dtype=float)
-    c, s = np.cos(angles), np.sin(angles)
+    v1, v2, v3 = v[:, 0:1], v[:, 1:2], v[:, 2:3]  # (L, 1) columns against (n,) rows
+    angles = np.asarray(angles, dtype=float).T
+    c, s = np.cos(angles, order="C"), np.sin(angles, order="C")
     radial = (1.0 - c) * (k1 * v1 + k2 * v2 + k3 * v3)
     r1 = v1 * c + (k2 * v3 - k3 * v2) * s + k1 * radial
     r2 = v2 * c + (k3 * v1 - k1 * v3) * s + k2 * radial
     r3 = v3 * c + (k1 * v2 - k2 * v1) * s + k3 * radial
     # n0 as PoincareVector.norm takes it: its ``**2`` is libm pow, which
     # differs from x * x in the last bit for some x.
-    n0 = np.array([math.sqrt(m1**2 + m2**2 + m3**2) for m1, m2, m3 in v.tolist()])
+    n0 = np.array([[math.sqrt(m1**2 + m2**2 + m3**2)] for m1, m2, m3 in v.tolist()])
     n1 = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
     scale = np.divide(n0, n1, out=np.ones_like(n1), where=n1 > 0.0)
-    r1, r2, r3 = r1 * scale, r2 * scale, r3 * scale
+    out = np.empty((len(v), 3, len(k1)))
+    r1, r2, r3 = (np.multiply(r, scale, out=out[:, i]) for i, r in enumerate((r1, r2, r3)))
     # NaN fails the comparison, so this also rejects non-finite results
     if not np.max(r1 * r1 + r2 * r2 + r3 * r3) <= (1.0 + ATOL_EXACT) ** 2:
         raise InvariantError("rotate_poincare_many: a rotated vector is non-finite or has |M| > 1")
-    return np.stack([r1, r2, r3], axis=-1)
+    return out.transpose(2, 0, 1)
 
 
 def poincare_round_trip(m) -> np.ndarray:
     """``poincare_from_density(density_from_poincare(M))`` for every M along
     the last axis of m (..., 3), operation for operation: M1 and M2 come back
-    as they went in, M3 as 0.5 (1 + m3) - 0.5 (1 - m3)."""
+    as they went in, M3 as 0.5 (1 + m3) - 0.5 (1 - m3).  The result has m's
+    memory order, so each component runs along the samples as m holds them."""
     m = np.asarray(m, dtype=float)
+    out = np.moveaxis(np.empty_like(np.moveaxis(m, -1, 0)), 0, -1)
     m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2]
-    return np.stack([2.0 * (0.5 * m1), -2.0 * (-0.5 * m2), 0.5 * (1.0 + m3) - 0.5 * (1.0 - m3)], axis=-1)
+    np.multiply(2.0, 0.5 * m1, out=out[..., 0])
+    np.multiply(-2.0, -0.5 * m2, out=out[..., 1])
+    np.subtract(0.5 * (1.0 + m3), 0.5 * (1.0 - m3), out=out[..., 2])
+    return out
 
 
 def check_pure_states(m, name: str) -> None:

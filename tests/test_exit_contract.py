@@ -147,6 +147,14 @@ ONCE_UNNAMED = [
         "shake_retardance_kick_huge", "fig3_shake",
         {"channel": {"retardance_sigma_rad": 1.7e308, "correlation_time_s": 1e-6}}, "channel.retardance_sigma_rad",
     ),
+    (
+        "pmd_pair_weight_sum", "pmd_sweep", {"source": {"intensity_split": [1e154, 1e154, 1e154]}},
+        "source.intensity_split",
+    ),
+    ("shake_ref_wavelength_huge", "fig3_shake", {"channel": {"ref_wavelength_nm": 1e308}}, "channel.ref_wavelength_nm"),
+    ("shake_visibility_tiny", "fig3_shake", {"meter": {"visibility": 5e-324}}, "meter.visibility"),
+    ("shake_polarimeter_noise_huge", "fig3_shake", {"polarimeter": {"noise_sigma_rel": 1e154}}, "polarimeter.noise_sigma_rel"),
+    ("calibrate_visibility_tiny", "calibrate", {"meter": {"visibility": 1e-150}}, "meter.visibility"),
 ]
 
 

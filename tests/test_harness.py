@@ -11,7 +11,7 @@ import pytest
 
 import dopsim
 from dopsim import harness, sources
-from dopsim.cli import cli_main
+from dopsim.cli import build_parser, cli_main
 from dopsim.harness import (
     ConfigError,
     child_iterator,
@@ -473,6 +473,18 @@ class TestCli:
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})
         assert cli_main(["scan", "--config", path, "--frobnicate"]) == 2
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        # every call shares one parser, which reports a usage error as a fresh one does
+        assert build_parser() is build_parser()
+        path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})
+        for argv in (["scan", "--config", path, "--frobnicate"], ["scan"], ["frobnicate"]) * 2:
+            with pytest.raises(SystemExit):
+                build_parser.__wrapped__().parse_args(argv)
+            fresh = capsys.readouterr().err
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", fresh)
+        assert cli_main(["validate-config", path]) == 0
 
     def test_scenario_command_mismatch_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})
