@@ -85,6 +85,13 @@ SCAN_MIN_SPREAD = 1e-12
 #: Stokes vector stay far inside the float range.
 MAX_READOUT_SCALE = 1e150
 
+#: Largest range of the meter's inversion (r - dark_offset) / gain: the
+#: readout scale over the gain, and 1 over the gain, stay within it.  The
+#: quotients, the noise on the dark level included, and their squares stay
+#: far inside the float range, and readouts of the order of the gain stay
+#: far above the subnormal floats, where they lose their digits.
+MAX_INVERSION_RANGE = 1e150
+
 #: Smallest signal a meter may have: the readout span V (1 - c_bar) / 2, in
 #: units of gain, between a fully polarized and a depolarized balanced beam.
 #: A smaller span is lost in the rounding of a readout of the order of the
@@ -633,10 +640,24 @@ def check(cfg: ScenarioConfig) -> None:
         "dark_offset": abs(meter.dark_offset),
         "noise_sigma_rel": 1.0 + 10.0 * meter.noise_sigma_rel,
     }
-    if not (scale["gain"] + scale["dark_offset"]) * scale["noise_sigma_rel"] <= MAX_READOUT_SCALE:
+    readout_scale = (scale["gain"] + scale["dark_offset"]) * scale["noise_sigma_rel"]
+    if not readout_scale <= MAX_READOUT_SCALE:
         raise ConfigError(
             f"meter.{max(scale, key=scale.get)}: the readout scale "
             f"(gain + |dark_offset|) (1 + 10 noise_sigma_rel) exceeds {MAX_READOUT_SCALE:g}"
+        )
+    if not max(1.0, readout_scale) / meter.gain <= MAX_INVERSION_RANGE:
+        raise ConfigError(
+            "meter.gain: the inversion's range, the larger of 1 and the readout scale over the gain, "
+            f"exceeds {MAX_INVERSION_RANGE:g}"
+        )
+    # the references' readouts differ by gain V (1 - c_bar) / 2, which must
+    # outlast the rounding of readouts of the order of gain + |dark_offset|
+    span = meter.visibility * (1.0 - lines.table.c_bar) / 2.0 * meter.gain
+    if cfg.calibrate is not None and not span >= MIN_SIGNAL * (scale["gain"] + scale["dark_offset"]):
+        raise ConfigError(
+            f"meter.dark_offset: the calibration references' span gain V (1 - c_bar) / 2 "
+            f"is below {MIN_SIGNAL:g} of gain + |dark_offset|"
         )
 
     scan = cfg.scan
@@ -1011,7 +1032,8 @@ class ShakeRecord(NamedTuple):
 
 
 def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Sphere angle of each row of m (n, 3) from ref (3,), as poincare_angle.
+    """Sphere angle of each row of m (n, 3) from ref (3,), as the reference
+    route's ``poincare_angle`` in ``tests/oracles.py`` takes it.
 
     The norms run along the samples, adding the squares in component order
     as ``np.linalg.norm(m, axis=1)`` does.  The dot products are one BLAS
@@ -1202,7 +1224,7 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> RunResult:
     # every line carries the configured polarization
     m0 = np.array(carrier.poincare, dtype=float)
     check_pure_states(m0, "modulated_carrier_source")
-    m0_norm = math.sqrt(sum(m**2 for m in carrier.poincare))  # as PoincareVector.norm
+    m0_norm = math.sqrt(sum(m**2 for m in carrier.poincare))  # |M| through libm pow, as the reference route
     axis = np.asarray(pmd.axis, dtype=float)
     axis_norm = np.linalg.norm(axis)
     degenerate = abs(float(axis @ m0) / (axis_norm * m0_norm)) > 1.0 - 1e-9

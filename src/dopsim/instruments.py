@@ -45,15 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .polcore import (
-    DopsimError,
-    InvariantError,
-    NumericsError,
-    TwoPhotonOperator,
-    poincare_components,
-    poincare_from_density,
-)
-from .sources import SourceSpec
+from .polcore import DopsimError, InvariantError, NumericsError
 
 
 @dataclass(frozen=True)
@@ -144,8 +136,8 @@ class PolarizationTrace:
     the meter and the polarimeter read a batch in one call, each beam on its
     own.  ``len`` is the number of samples n.  Construction checks the
     shapes; the values must meet the per-line invariants (finite,
-    intensities >= 0, |M| <= 1 + 1e-12), which ``static`` inherits from a
-    validated beam and the harness and ``channel.fiber_trace`` check in bulk.
+    intensities >= 0, |M| <= 1 + 1e-12), which the harness and
+    ``channel.fiber_trace`` check in bulk.
     """
 
     dt_s: float
@@ -166,23 +158,6 @@ class PolarizationTrace:
 
     def __len__(self) -> int:
         return self.intensities.shape[-2]
-
-    @property
-    def duration_s(self) -> float:
-        return len(self) * self.dt_s
-
-    @classmethod
-    def static(cls, src: SourceSpec, n_samples: int, dt_s: float) -> "PolarizationTrace":
-        """``src`` held for ``n_samples`` samples (broadcast, not copied)."""
-        if n_samples < 1:
-            raise InvariantError("PolarizationTrace.static: n_samples must be >= 1")
-        mvecs = np.array([poincare_components(line.polarization) for line in src.lines])
-        return cls(
-            dt_s,
-            np.array(src.wavelengths_nm(), dtype=float),
-            np.broadcast_to(np.array(src.intensities(), dtype=float), (n_samples, len(mvecs))),
-            np.broadcast_to(mvecs, (n_samples,) + mvecs.shape),
-        )
 
     @classmethod
     def held(
@@ -214,15 +189,20 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     return out / np.minimum(np.arange(1, values.shape[-1] + 1), window)
 
 
-def two_stage_projector(stage_phase_rad: float = 0.0) -> TwoPhotonOperator:
-    """Operator realized by the two interfering conversion stages,
-    |psi><psi| with psi = (|HV> - e^{i phase} |VH>)/sqrt(2).
+def two_stage_projector(stage_phase_rad: float = 0.0) -> np.ndarray:
+    """Operator realized by the two interfering conversion stages, a
+    read-only 4x4 array in the basis (HH, HV, VH, VV): |psi><psi| with
+    psi = (|HV> - e^{i phase} |VH>)/sqrt(2).
 
     The destructive setting (phase 0) is exactly the singlet projector.
+    ``polcore.brute_force_trace`` takes it as the oracle of
+    ``pair_projection_probability``.
     """
     phase = complex(math.cos(stage_phase_rad), math.sin(stage_phase_rad))
     psi = np.array([0.0, 1.0, -phase, 0.0], dtype=complex) / math.sqrt(2.0)
-    return TwoPhotonOperator(np.outer(psi, psi.conj()))
+    op = np.outer(psi, psi.conj())
+    op.flags.writeable = False
+    return op
 
 
 def pair_projection_probability(ma: np.ndarray, mb: np.ndarray, stage_phase_rad: float = 0.0) -> np.ndarray:
@@ -429,9 +409,11 @@ class PairSamplingResult:
 
 
 def mc_pair_singlet(
-    src: SourceSpec, draws: int, rng: np.random.Generator
+    intensities, poincare, draws: int, rng: np.random.Generator
 ) -> PairSamplingResult:
-    """Monte Carlo estimate of the beam's singlet-projection probability.
+    """Monte Carlo estimate of the singlet-projection probability of the beam
+    whose L lines have ``intensities`` (L,) and Poincare vectors
+    ``poincare`` (L, 3).
 
     Draws photon pairs with the intensity-product statistics over ordered
     line pairs (same-line pairs included) and scores Bernoulli projection
@@ -439,9 +421,9 @@ def mc_pair_singlet(
     """
     if draws < 1:
         raise InvariantError("mc_pair_singlet: draws must be >= 1")
-    w = np.asarray(src.intensities(), dtype=float)
+    w = np.asarray(intensities, dtype=float)
     w = w / w.sum()
-    mvecs = np.array([poincare_from_density(line.polarization).as_array() for line in src.lines])
+    mvecs = np.asarray(poincare, dtype=float)
     pair_probs = np.outer(w, w).ravel()
     projection = np.clip((0.25 * (1.0 - mvecs @ mvecs.T)).ravel(), 0.0, 1.0)
     counts = rng.multinomial(draws, pair_probs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dopsim.polcore import DensityMatrix, PoincareVector, density_from_poincare
+from oracles import DensityMatrix, density_from_poincare
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -10,12 +10,13 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_poincare(rng: np.random.Generator, pure: bool = False) -> PoincareVector:
-    """Uniform direction; radius 1 if pure, else uniform in the unit ball."""
+def random_poincare(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
+    """A Poincare vector (3,): uniform direction; radius 1 if pure, else
+    uniform in the unit ball."""
     v = random_unit_vector(rng)
     if not pure:
         v = v * rng.uniform() ** (1.0 / 3.0)
-    return PoincareVector.from_array(v)
+    return v
 
 
 def random_density(rng: np.random.Generator, pure: bool = False) -> DensityMatrix:

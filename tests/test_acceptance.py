@@ -16,29 +16,15 @@ from dopsim.instruments import (
     acceptance_bandwidth,
     effective_length,
     mc_pair_singlet,
+    pair_projection_probability,
     singlet_meter_raw,
+    two_stage_projector,
 )
-from dopsim.polcore import (
-    PoincareVector,
-    brute_force_trace,
-    density_from_poincare,
-    dop,
-    mix,
-    poincare_from_density,
-    rotate_poincare,
-    singlet_probability,
-    singlet_projector,
-)
-from dopsim.sources import (
-    SourceSpec,
-    SpectralLine,
-    dop_two_pure_lines,
-    great_circle_pair,
-    modulation_wavelength_offset_nm,
-    source_dop,
-    two_laser_source,
-)
+from dopsim.polcore import brute_force_trace, mixture_dop_many, rotate_poincare_many
+from dopsim.sources import dop_two_pure_lines, great_circle_vectors, modulation_wavelength_offset_nm
 from helpers import random_poincare, random_unit_vector
+
+WAVELENGTHS = (1552.0, 1554.0)
 
 
 @contextmanager
@@ -54,31 +40,29 @@ def criterion(number: int, label: str, limit_s: float):
     assert elapsed < limit_s, f"criterion {number} exceeded its {limit_s} s runtime budget"
 
 
-def rotated_source(src: SourceSpec, axis, angle: float) -> SourceSpec:
-    return SourceSpec(
-        tuple(
-            SpectralLine(
-                line.wavelength_nm,
-                line.intensity,
-                density_from_poincare(rotate_poincare(line.poincare(), axis, angle)),
-            )
-            for line in src.lines
-        )
-    )
+def held(intensities, poincare, n_samples):
+    """A batch of beams (P, L, 3) of the two lines at WAVELENGTHS, each held
+    for n_samples samples of 1 s."""
+    return PolarizationTrace.held(1.0, WAVELENGTHS, intensities, np.asarray(poincare, dtype=float), n_samples)
 
 
-def test_c1_singlet_probability_matches_trace_oracle():
+def pair_on_circle(circle, base_deg, two_phi_deg):
+    """Two unit Poincare vectors (2, 3) two_phi_deg apart on one great circle."""
+    return great_circle_vectors([circle] * 2, [base_deg, base_deg + two_phi_deg])
+
+
+def test_c1_pair_projection_matches_trace_oracle():
     with criterion(1, "closed-form pair projection equals explicit 4x4 trace (1000 pairs, 1e-12)", 1.0):
         rng = np.random.default_rng(2003)
-        projector = singlet_projector()
+        # the destructive stage phase, where the meter reads the singlet, and three others
+        phases = (0.0, 0.7, math.pi / 2, math.pi)
+        projectors = [two_stage_projector(phase) for phase in phases]
         worst = 0.0
         for _ in range(1000):
-            rho_a = density_from_poincare(random_poincare(rng))
-            rho_b = density_from_poincare(random_poincare(rng))
-            delta = abs(
-                singlet_probability(rho_a, rho_b) - brute_force_trace(rho_a, rho_b, projector)
-            )
-            worst = max(worst, delta)
+            ma, mb = random_poincare(rng), random_poincare(rng)
+            for phase, projector in zip(phases, projectors):
+                delta = abs(pair_projection_probability(ma, mb, phase) - brute_force_trace(ma, mb, projector))
+                worst = max(worst, delta)
         assert worst < 1e-12
 
 
@@ -90,18 +74,14 @@ def test_c2_two_line_dop_closed_form_equals_mixture():
             i1, i2 = rng.uniform(0.01, 5.0, size=2)
             m1 = random_poincare(rng, pure=True)
             m2 = random_poincare(rng, pure=True)
-            angle = math.acos(np.clip(m1.as_array() @ m2.as_array(), -1.0, 1.0))
-            mixture = mix(
-                [density_from_poincare(m1), density_from_poincare(m2)], [i1, i2]
-            )
-            mixture_dop = dop(poincare_from_density(mixture))
+            angle = math.acos(min(1.0, max(-1.0, float(m1 @ m2))))
+            mixture_dop = mixture_dop_many(np.array([[m1, m2]]), [i1, i2])[0]
             worst = max(worst, abs(mixture_dop - dop_two_pure_lines(i1, i2, angle)))
         assert worst < 1e-12
 
-        # spot check through the full source path
-        m1, m2 = great_circle_pair(0, 0.0, 90.0)
-        src = two_laser_source(1552.0, 1554.0, 1.0, 1.0, m1, m2)
-        assert abs(source_dop(src) - dop_two_pure_lines(1.0, 1.0, math.pi / 2)) < 1e-12
+        # spot check on the great-circle geometry the runners use
+        lines = pair_on_circle(0, 0.0, 90.0)
+        assert abs(mixture_dop_many(lines[None], [1.0, 1.0])[0] - dop_two_pure_lines(1.0, 1.0, math.pi / 2)) < 1e-12
         assert abs(dop_two_pure_lines(1.0, 1.0, math.pi / 2) - 0.70711) < 1e-5
         assert abs(dop_two_pure_lines(1.0, 1.0, math.pi / 2) - math.sqrt(0.5)) < 1e-9
 
@@ -121,29 +101,22 @@ def test_c3_scan_linear_law_and_noise_calibration():
         # small absolute spread (readout units per unit gain) near DOP = 1
         meter = MeterConfig(noise_sigma_rel=0.15)
         rng = np.random.default_rng(2007)
-        m_base, m_anti = great_circle_pair(0, 0.0, 180.0)
-        depolarized = two_laser_source(1552.0, 1554.0, 1.0, 1.0, m_base, m_anti)
-        readout = singlet_meter_raw(
-            PolarizationTrace.static(depolarized, 1000, 1.0), meter, rng
-        )
+        depolarized = pair_on_circle(0, 0.0, 180.0)
+        readout = singlet_meter_raw(held([1.0, 1.0], depolarized[None], 1000), meter, rng)[0]
         ratio = readout.std() / readout.mean()
         assert abs(ratio - 0.15) < 0.05
 
         for two_phi_deg in (0.0, 10.0):
-            m1, m2 = great_circle_pair(0, 0.0, two_phi_deg)
-            near_polarized = two_laser_source(1552.0, 1554.0, 1.0, 1.0, m1, m2)
-            readout = singlet_meter_raw(
-                PolarizationTrace.static(near_polarized, 1000, 1.0), meter, rng
-            )
+            near_polarized = pair_on_circle(0, 0.0, two_phi_deg)
+            readout = singlet_meter_raw(held([1.0, 1.0], near_polarized[None], 1000), meter, rng)[0]
             assert readout.std() <= 0.05
 
 
 def test_c4_visibility_residual_endpoint():
     with criterion(4, "96 % visibility leaves a 0.0200 residual on a fully polarized beam", 1.0):
-        m = PoincareVector(0.0, 0.0, 1.0)
-        src = two_laser_source(1552.0, 1554.0, 1.0, 1.0, m, m)
+        m = [0.0, 0.0, 1.0]
         cfg = MeterConfig(visibility=0.96, gain=1.0, dark_offset=0.0)
-        readout = singlet_meter_raw(PolarizationTrace.static(src, 16, 1.0), cfg)
+        readout = singlet_meter_raw(held([1.0, 1.0], [[m, m]], 16), cfg)[0]
         assert abs(float(readout.mean()) - 0.0200) < 1e-9
 
 
@@ -196,23 +169,24 @@ def test_c7_pair_sampling_reproduces_mixture_law():
             (0.4, 1.7, 65.0),
         ]
         for seed, (i1, i2, two_phi_deg) in enumerate(configs):
-            m1, m2 = great_circle_pair(seed % 3, 7.0 * seed, two_phi_deg)
-            src = two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
-            expected = (1.0 - source_dop(src) ** 2) / 4.0
-            result = mc_pair_singlet(src, 1_000_000, np.random.default_rng(3000 + seed))
+            lines = pair_on_circle(seed % 3, 7.0 * seed, two_phi_deg)
+            expected = (1.0 - mixture_dop_many(lines[None], [i1, i2])[0] ** 2) / 4.0
+            result = mc_pair_singlet([i1, i2], lines, 1_000_000, np.random.default_rng(3000 + seed))
             assert abs(result.estimate - expected) <= 3.0 * result.stderr
 
 
 def test_c8_global_rotation_invariance():
     with criterion(8, "200 global rotations leave noiseless readout and source DOP fixed (1e-12)", 10.0):
         rng = np.random.default_rng(2017)
-        m1, m2 = great_circle_pair(0, 20.0, 73.0)
-        src = two_laser_source(1552.0, 1554.0, 1.3, 0.7, m1, m2)
+        lines = pair_on_circle(0, 20.0, 73.0)
+        intensities = [1.3, 0.7]
         meter = MeterConfig(visibility=1.0)
-        base_readout = float(singlet_meter_raw(PolarizationTrace.static(src, 1, 1.0), meter)[0])
-        base_dop = source_dop(src)
-        for _ in range(200):
-            rotated = rotated_source(src, random_unit_vector(rng), rng.uniform(0.0, 2 * math.pi))
-            readout = float(singlet_meter_raw(PolarizationTrace.static(rotated, 1, 1.0), meter)[0])
-            assert abs(readout - base_readout) < 1e-12
-            assert abs(source_dop(rotated) - base_dop) < 1e-12
+        base_readout = float(singlet_meter_raw(held(intensities, lines[None], 1), meter)[0, 0])
+        base_dop = mixture_dop_many(lines[None], intensities)[0]
+        rotations = [(random_unit_vector(rng), rng.uniform(0.0, 2 * math.pi)) for _ in range(200)]
+        axes = np.array([axis for axis, _ in rotations])
+        angles = np.array([[angle, angle] for _, angle in rotations])
+        rotated = rotate_poincare_many(lines, axes, angles)  # (200, 2, 3): every line of a beam turned alike
+        readouts = singlet_meter_raw(held(intensities, rotated, 1), meter)[:, 0]
+        assert np.all(np.abs(readouts - base_readout) < 1e-12)
+        assert np.all(np.abs(mixture_dop_many(rotated, intensities) - base_dop) < 1e-12)

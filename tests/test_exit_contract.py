@@ -1,12 +1,15 @@
 """The CLI's exit contract on hostile configs.
 
 Each example takes a shipped config (the shake cut to four windows of
-0.05 s), sets one or two of its leaves -- a value, or an entry of a list
-field -- to a hostile value, and runs it through ``cli_main``, both as its
-scenario command and as ``validate-config``.  Every call returns 0, 2 or 3
-and prints nothing to stdout on failure; every config error names a field
-path of the harness's rule tables; and ``validate-config`` rejects exactly
-what the run rejects as a config error, with the same message.
+0.05 s), sets one or two of its leaves -- a value, an entry of a list field,
+or an optional key the config leaves out -- to a hostile value, among them
+values at the edges of the float range, and runs it through ``cli_main``,
+both as its scenario command and as ``validate-config``.  Every call returns
+0, 2 or 3 and prints nothing to stdout on failure; every config error names
+a field path of the harness's rule tables; ``validate-config`` rejects
+exactly what the run rejects as a config error, with the same message; a
+config it accepts runs to exit 0 under ``--noise off``; and an exit 3 names
+the check that failed, never a bare floating-point error of numpy.
 """
 
 import copy
@@ -23,7 +26,11 @@ from dopsim import harness
 from dopsim.cli import cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
-VALUES = [0, -1, 1e300, 1e-300, "x", 2**63, [], None, True, math.inf, math.nan]
+VALUES = [0, -1, 1e300, 1e-300, "x", 2**63, [], None, True, math.inf, math.nan, 1e154, 1.7e308, 5e-324, -1e300]
+
+#: Optional keys the shipped configs leave out, drawn where the scenario
+#: has their section.
+OPTIONAL = [("channel", "ref_wavelength_nm"), ("channel", "seed"), ("meter", "dark_offset")]
 
 
 def base_docs() -> dict[str, dict]:
@@ -71,14 +78,16 @@ FIELDS = field_paths()
 @st.composite
 def mutated_configs(draw):
     doc = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
-    command = harness.SCENARIOS[doc["scenario"]].command
+    spec = harness.SCENARIOS[doc["scenario"]]
+    sections = {**harness.TOP_LEVEL, **spec.sections}
+    optional = [path for path in OPTIONAL if path[0] in sections and path[1] not in doc.get(path[0], {})]
     for _ in range(draw(st.integers(1, 2))):
-        *parents, last = draw(st.sampled_from(list(leaves(doc))))
+        *parents, last = draw(st.sampled_from(list(leaves(doc)) + optional))
         node = doc
         for key in parents:
-            node = node[key]
+            node = node.setdefault(key, {})
         node[last] = draw(st.sampled_from(VALUES))
-    return command, doc
+    return spec.command, doc
 
 
 @settings(
@@ -95,11 +104,13 @@ def test_exit_code_and_message(case, tmp_path_factory, capsys, monkeypatch):
     config = directory / "config.json"
     config.write_text(json.dumps(doc))  # inf and nan go out as Infinity and NaN, which json reads back
 
-    results = []
+    results, codes, errors = [], [], []
     run = [command, "--config", str(config), "--out", str(directory / "out")]
     for argv in (run, ["validate-config", str(config)]):
         code = cli_main(argv)
         out, err = capsys.readouterr()
+        codes.append(code)
+        errors.append(err)
         assert code in (0, 2, 3), (argv[0], err)
         if code:
             assert out == "", argv[0]
@@ -109,6 +120,11 @@ def test_exit_code_and_message(case, tmp_path_factory, capsys, monkeypatch):
         results.append(err if code == 2 else None)
     # validate-config rejects exactly what the run rejects, with the same message
     assert results[0] == results[1]
+    # a numerical failure names its check, not a bare numpy floating-point error
+    assert not (codes[0] == 3 and re.search(r"encountered in", errors[0])), errors[0]
+    if codes[1] == 0:
+        # a config that validate-config accepts can be measured: without noise the run finishes
+        assert cli_main(run + ["--noise", "off"]) == 0, capsys.readouterr().err
 
 
 #: Changes to the shipped configs that once ended in a traceback, a run with
@@ -155,6 +171,10 @@ ONCE_UNNAMED = [
     ("shake_visibility_tiny", "fig3_shake", {"meter": {"visibility": 5e-324}}, "meter.visibility"),
     ("shake_polarimeter_noise_huge", "fig3_shake", {"polarimeter": {"noise_sigma_rel": 1e154}}, "polarimeter.noise_sigma_rel"),
     ("calibrate_visibility_tiny", "calibrate", {"meter": {"visibility": 1e-150}}, "meter.visibility"),
+    ("shake_gain_tiny_dark_1", "fig3_shake", {"meter": {"gain": 5e-324, "dark_offset": 1}}, "meter.gain"),
+    ("shake_gain_1e-320_dark_1e-3", "fig3_shake", {"meter": {"gain": 1e-320, "dark_offset": 1e-3}}, "meter.gain"),
+    ("calibrate_gain_tiny", "calibrate", {"meter": {"gain": 5e-324}}, "meter.gain"),
+    ("calibrate_gain_1e-300_dark_1", "calibrate", {"meter": {"gain": 1e-300, "dark_offset": 1}}, "meter.gain"),
 ]
 
 

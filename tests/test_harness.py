@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import dopsim
-from dopsim import harness, sources
+from dopsim import harness
 from dopsim.cli import build_parser, cli_main
 from dopsim.harness import (
     ConfigError,
@@ -31,6 +34,33 @@ SMALL_SHAKE = {
     "dt_s": 0.001,
     "shake": {"windows": 5, "window_s": 0.4},
 }
+
+
+#: The independent oracles the acceptance criteria check the array path
+#: against; no run calls them.
+ORACLES = [
+    "instruments.mc_pair_singlet",
+    "instruments.two_stage_projector",
+    "polcore.brute_force_trace",
+    "sources.dop_two_pure_lines",
+]
+
+
+def public_code() -> dict:
+    """module.name -> code object of every public function, and of every
+    public method and property of a class, defined in a dopsim module."""
+    out = {}
+    for info in pkgutil.iter_modules(dopsim.__path__):
+        module = importlib.import_module(f"dopsim.{info.name}")
+        members = [(name, obj) for name, obj in vars(module).items() if not name.startswith("_")]
+        for name, obj in list(members):
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", value) for attr, value in vars(obj).items() if not attr.startswith("_")]
+        for name, obj in members:
+            obj = inspect.unwrap(getattr(obj, "fget", None) or getattr(obj, "__func__", obj))
+            if inspect.isfunction(obj) and obj.__code__.co_filename == module.__file__:
+                out[f"{info.name}.{name}"] = obj.__code__
+    return out
 
 
 class TestConfigLoading:
@@ -620,18 +650,29 @@ class TestCli:
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["seed"] == 123
 
-    def test_no_runner_builds_a_source_spec(self, tmp_path, monkeypatch):
-        # the runners take their lines from the line set and build the
-        # beams as arrays
-        def built(*args, **kwargs):
-            raise AssertionError("a runner built a SourceSpec")
+    def test_every_public_function_runs_on_the_shipped_configs(self, tmp_path, monkeypatch):
+        # each shipped config, run and validated in process with the walk
+        # unforked, calls every public function and method of the package
+        # but the independent oracles and the console entry point
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.delenv(harness.DEFAULT_SEED_ENV, raising=False)
+        build_parser.cache_clear()  # built once per process: an earlier test may have built it
+        called = set()
 
-        for name in ("two_laser_source", "modulated_carrier_source", "source_dop"):
-            monkeypatch.setattr(sources, name, built)
-        monkeypatch.setattr(sources.SourceSpec, "__post_init__", built)
-        for config in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
-            command = harness.SCENARIOS[json.loads(config.read_text())["scenario"]].command
-            assert cli_main([command, "--config", str(config), "--out", str(tmp_path / config.stem)]) == 0
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            for config in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+                command = harness.SCENARIOS[json.loads(config.read_text())["scenario"]].command
+                assert cli_main([command, "--config", str(config), "--out", str(tmp_path / config.stem)]) == 0
+                assert cli_main(["validate-config", str(config)]) == 0
+        finally:
+            sys.setprofile(None)
+        uncalled = sorted(name for name, code in public_code().items() if code not in called)
+        assert uncalled == sorted(ORACLES + ["cli.main"])
 
     def test_console_entry_point(self, tmp_path):
         path = write_json(tmp_path / "scan.json", {"scenario": "fig2_scan"})

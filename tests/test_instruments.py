@@ -21,25 +21,24 @@ from dopsim.instruments import (
     singlet_meter_raw,
     two_stage_projector,
 )
-from dopsim.polcore import (
-    InvariantError,
-    NumericsError,
+from dopsim.polcore import InvariantError, NumericsError, brute_force_trace, mixture_dop_many
+from helpers import random_poincare, random_unit_vector
+from oracles import (
     PoincareVector,
-    brute_force_trace,
-    density_from_poincare,
-    rotate_poincare,
-    singlet_projector,
-)
-from dopsim.sources import (
     SourceSpec,
     SpectralLine,
-    dop_two_pure_lines,
+    apply_fiber,
+    density_from_poincare,
     great_circle_pair,
+    mean_contamination,
+    pair_normalization,
+    rotate_poincare,
+    singlet_meter_dop,
     source_dop,
+    static_trace,
+    trace_from_snapshots,
     two_laser_source,
 )
-from helpers import random_density, random_poincare, random_unit_vector
-from oracles import apply_fiber, mean_contamination, pair_normalization, singlet_meter_dop, trace_from_snapshots
 
 IDEAL = MeterConfig(visibility=1.0)
 
@@ -47,7 +46,7 @@ IDEAL = MeterConfig(visibility=1.0)
 def two_line_trace(two_phi_deg, i1=1.0, i2=1.0, n=1, dt=1.0, circle=0):
     m1, m2 = great_circle_pair(circle, 0.0, two_phi_deg)
     src = two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
-    return PolarizationTrace.static(src, n, dt), src
+    return static_trace(src, n, dt), src
 
 
 class TestCrystalArithmetic:
@@ -93,24 +92,22 @@ class TestDegenerateContamination:
 
 class TestTwoStageProjector:
     def test_destructive_phase_is_singlet(self):
-        np.testing.assert_allclose(
-            two_stage_projector(0.0).matrix, singlet_projector().matrix, atol=1e-15
-        )
+        psi = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        np.testing.assert_allclose(two_stage_projector(0.0), np.outer(psi, psi), atol=1e-15)
+
+    def test_hermitian_and_read_only(self):
+        op = two_stage_projector(0.7)
+        np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
     def test_probability_formula_matches_trace(self):
         rng = np.random.default_rng(311)
         for _ in range(100):
-            a, b = random_density(rng), random_density(rng)
+            a, b = random_poincare(rng), random_poincare(rng)
             phase = rng.uniform(0, 2 * math.pi)
             expected = brute_force_trace(a, b, two_stage_projector(phase))
-            from dopsim.polcore import poincare_from_density
-
-            got = pair_projection_probability(
-                poincare_from_density(a).as_array(),
-                poincare_from_density(b).as_array(),
-                phase,
-            )
-            assert abs(float(got) - expected) < 1e-12
+            assert abs(float(pair_projection_probability(a, b, phase)) - expected) < 1e-12
 
 
 class TestSingletMeterRaw:
@@ -118,7 +115,7 @@ class TestSingletMeterRaw:
         # time-varying beams of one line set; a 4-sample response window and
         # noise: each row equals that beam read alone, in beam order
         rng = np.random.default_rng(61)
-        mvecs = np.array([random_poincare(rng).as_array() for _ in range(3 * 9 * 3)]).reshape(3, 9, 3, 3)
+        mvecs = np.array([random_poincare(rng) for _ in range(3 * 9 * 3)]).reshape(3, 9, 3, 3)
         intensities = rng.uniform(0.0, 2.0, size=(3, 9, 3))
         wavelengths = np.array([1550.0, 1551.0, 1553.0])
         cfg = MeterConfig(visibility=0.9, noise_sigma_rel=0.1, response_time_s=4.0, min_separation_nm=1.5)
@@ -149,7 +146,7 @@ class TestSingletMeterRaw:
     def test_single_line_rejected(self):
         src = SourceSpec((SpectralLine(1552.0, 1.0, density_from_poincare(PoincareVector(0, 0, 1))),))
         with pytest.raises(InvariantError):
-            singlet_meter_raw(PolarizationTrace.static(src, 1, 1.0), IDEAL)
+            singlet_meter_raw(static_trace(src, 1, 1.0), IDEAL)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(InvariantError, match="at least one sample"):
@@ -186,7 +183,7 @@ class TestSingletMeterRaw:
                     for line in src.lines
                 )
             )
-            r = singlet_meter_raw(PolarizationTrace.static(rotated, 1, 1.0), IDEAL)[0]
+            r = singlet_meter_raw(static_trace(rotated, 1, 1.0), IDEAL)[0]
             assert abs(r - base) < 1e-12
 
     def test_response_window_premixes_states(self):
@@ -205,7 +202,7 @@ class TestSingletMeterRaw:
         # degenerate conversion pulls the polarized-beam readout off zero
         m = PoincareVector(0, 0, 1)
         src = two_laser_source(1552.0, 1552.8, 1, 1, m, m)
-        trace = PolarizationTrace.static(src, 1, 1.0)
+        trace = static_trace(src, 1, 1.0)
         c = degenerate_contamination(1552.0, 1552.8, CrystalStack())
         r = singlet_meter_raw(trace, IDEAL)[0]
         assert abs(r - c / 4.0) < 1e-12
@@ -229,7 +226,7 @@ class TestSingletMeterDop:
         cfg = MeterConfig(visibility=0.9, gain=1.5, dark_offset=0.05)
         m1, m2 = great_circle_pair(2, 20.0, 75.0)
         src = two_laser_source(1552.0, 1552.9, 1.0, 0.8, m1, m2)
-        trace = PolarizationTrace.static(src, 2, 1.0)
+        trace = static_trace(src, 2, 1.0)
         est = singlet_meter_dop(trace, cfg)
         np.testing.assert_allclose(est.dop, source_dop(src), atol=1e-9)
 
@@ -293,7 +290,7 @@ class TestPolarimeter:
         rng = np.random.default_rng(67)
         wavelengths = np.array([1550.0, 1551.0, 1553.0])
         for n, window, noise in [(23, 5, 0.05), (23, 5, 0.0), (307, 150, 0.05), (9, 9, 0.05)]:
-            mvecs = np.array([random_poincare(rng).as_array() for _ in range(3 * n * 3)]).reshape(3, n, 3, 3)
+            mvecs = np.array([random_poincare(rng) for _ in range(3 * n * 3)]).reshape(3, n, 3, 3)
             intensities = rng.uniform(0.1, 2.0, size=(3, n, 3))
             cfg = PolarimeterConfig(integration_time_s=window * 0.01, noise_sigma_rel=noise)
             batch = polarimeter_dop(
@@ -382,11 +379,9 @@ class TestPairSampling:
         rng = np.random.default_rng(341)
         for seed in range(5):
             i1, i2 = rng.uniform(0.2, 3.0, size=2)
-            m1 = random_poincare(rng, pure=True)
-            m2 = random_poincare(rng, pure=True)
-            src = two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
-            expected = (1.0 - source_dop(src) ** 2) / 4.0
-            result = mc_pair_singlet(src, 1_000_000, np.random.default_rng(1000 + seed))
+            lines = np.array([random_poincare(rng, pure=True), random_poincare(rng, pure=True)])
+            expected = (1.0 - mixture_dop_many(lines[None], [i1, i2])[0] ** 2) / 4.0
+            result = mc_pair_singlet([i1, i2], lines, 1_000_000, np.random.default_rng(1000 + seed))
             assert abs(result.estimate - expected) <= 3.0 * result.stderr
 
     def test_pair_normalization_two_lines(self):
@@ -410,11 +405,9 @@ class TestPairSampling:
         assert contaminated > 100
 
     def test_deterministic_under_seed(self):
-        trace_src = two_laser_source(
-            1552.0, 1554.0, 1, 1, PoincareVector(0, 0, 1), PoincareVector(1, 0, 0)
-        )
-        a = mc_pair_singlet(trace_src, 10_000, np.random.default_rng(5))
-        b = mc_pair_singlet(trace_src, 10_000, np.random.default_rng(5))
+        lines = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        a = mc_pair_singlet([1.0, 1.0], lines, 10_000, np.random.default_rng(5))
+        b = mc_pair_singlet([1.0, 1.0], lines, 10_000, np.random.default_rng(5))
         assert a.estimate == b.estimate
 
 

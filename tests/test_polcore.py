@@ -3,31 +3,45 @@ import math
 import numpy as np
 import pytest
 
+from dopsim.instruments import PolarimeterConfig, PolarizationTrace, pair_projection_probability, polarimeter_dop, two_stage_projector
 from dopsim.polcore import (
-    DensityMatrix,
     InvariantError,
-    PoincareVector,
-    PureState,
-    StokesVector,
-    TwoPhotonOperator,
+    NumericsError,
     UndefinedDirectionError,
-    UndefinedDopError,
     brute_force_trace,
     check_pure_states,
+    mixture_dop_many,
+    poincare_round_trip,
+    rotate_poincare_many,
+)
+from helpers import random_density, random_poincare, random_unit_vector
+from oracles import (
+    DensityMatrix,
+    PoincareVector,
     density_from_poincare,
     dop,
     mix,
-    mixture_dop_many,
     poincare_angle,
     poincare_from_density,
-    poincare_round_trip,
     rotate_poincare,
-    rotate_poincare_many,
     rotation_unitary,
-    singlet_probability,
-    singlet_projector,
 )
-from helpers import random_density, random_poincare, random_unit_vector
+
+SINGLET = two_stage_projector(0.0)
+
+
+def rotated(m, axis, angle):
+    """m (3,) turned about axis by angle through rotate_poincare_many."""
+    return rotate_poincare_many([m], [axis], [[angle]])[0, 0]
+
+
+def one_line_polarimeter_dop(stokes):
+    """The noiseless polarimeter's DOP of a one-line beam of Stokes vector
+    (s0, s1, s2, s3), held for one window."""
+    s0, *s123 = stokes
+    m = np.array(s123, dtype=float) / s0 if s0 else np.zeros(3)
+    trace = PolarizationTrace(1.0, np.array([1550.0]), np.full((1, 1), float(s0)), m.reshape(1, 1, 3))
+    return float(polarimeter_dop(trace, PolarimeterConfig())[0])
 
 
 class TestDensityFromPoincare:
@@ -56,7 +70,7 @@ class TestDensityFromPoincare:
         for _ in range(50):
             m = random_poincare(rng)
             rho = density_from_poincare(m).matrix
-            for mj, sigma in [(m.m1, PAULI_1), (m.m2, PAULI_2), (m.m3, PAULI_3)]:
+            for mj, sigma in zip(m, (PAULI_1, PAULI_2, PAULI_3)):
                 assert abs(np.trace(rho @ sigma).real - mj) < 1e-12
 
 
@@ -66,7 +80,7 @@ class TestPoincareFromDensity:
         assert m.norm() < 1e-15
 
     def test_pure_diagonal_linear(self):
-        rho = PureState(1 / math.sqrt(2), 1 / math.sqrt(2)).density()
+        rho = DensityMatrix(np.full((2, 2), 0.5))
         m = poincare_from_density(rho)
         np.testing.assert_allclose(m.as_array(), [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -78,7 +92,7 @@ class TestPoincareFromDensity:
             mixed = mix(
                 [density_from_poincare(ma), density_from_poincare(mb)], [w, 1.0 - w]
             )
-            expected = w * ma.as_array() + (1.0 - w) * mb.as_array()
+            expected = w * ma + (1.0 - w) * mb
             np.testing.assert_allclose(
                 poincare_from_density(mixed).as_array(), expected, atol=1e-12
             )
@@ -88,22 +102,23 @@ class TestPoincareFromDensity:
         for _ in range(200):
             m = random_poincare(rng)
             back = poincare_from_density(density_from_poincare(m))
-            assert np.max(np.abs(back.as_array() - m.as_array())) < 1e-12
+            assert np.max(np.abs(back.as_array() - m)) < 1e-12
 
 
 class TestDop:
+    # the Stokes-vector DOP |S123| / S0, as the polarimeter reads it
     def test_unpolarized_stokes(self):
-        assert dop(StokesVector(1, 0, 0, 0)) == 0.0
+        assert one_line_polarimeter_dop((1, 0, 0, 0)) == 0.0
 
     def test_fully_polarized_stokes(self):
-        assert dop(StokesVector(2, 2, 0, 0)) == 1.0
+        assert one_line_polarimeter_dop((2, 2, 0, 0)) == 1.0
 
     def test_three_four_five(self):
-        assert abs(dop(StokesVector(1, 0.36, 0.48, 0)) - 0.6) < 1e-15
+        assert abs(one_line_polarimeter_dop((1, 0.36, 0.48, 0)) - 0.6) < 1e-15
 
     def test_zero_intensity_is_undefined(self):
-        with pytest.raises(UndefinedDopError):
-            dop(StokesVector(0, 0, 0, 0))
+        with pytest.raises(NumericsError, match="non-positive averaged power"):
+            one_line_polarimeter_dop((0, 0, 0, 0))
 
     def test_poincare_input(self):
         assert abs(dop(PoincareVector(0.6, 0, 0)) - 0.6) < 1e-15
@@ -138,20 +153,20 @@ class TestMix:
 
 class TestSingletProjector:
     def test_matrix_entries(self):
-        p = singlet_projector().matrix
+        p = SINGLET
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = expected[2, 2] = 0.5
         expected[1, 2] = expected[2, 1] = -0.5
         np.testing.assert_allclose(p, expected, atol=1e-15)
 
     def test_idempotent_unit_trace(self):
-        p = singlet_projector().matrix
+        p = SINGLET
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         assert abs(np.trace(p).real - 1.0) < 1e-12
 
     def test_rotational_invariance(self):
         rng = np.random.default_rng(13)
-        p = singlet_projector().matrix
+        p = SINGLET
         for _ in range(20):
             u = rotation_unitary(random_unit_vector(rng), rng.uniform(0, 2 * math.pi))
             uu = np.kron(u, u)
@@ -159,78 +174,70 @@ class TestSingletProjector:
 
 
 class TestSingletProbability:
+    # pair_projection_probability at the destructive stage phase, 0
     def test_identical_pure_states(self):
-        rho = PureState(1, 0).density()
-        assert abs(singlet_probability(rho, rho)) < 1e-15
+        m = [0.0, 0.0, 1.0]
+        assert abs(pair_projection_probability(m, m)) < 1e-15
 
     def test_fully_mixed_quarter(self):
-        rho = density_from_poincare(PoincareVector(0, 0, 0))
-        assert abs(singlet_probability(rho, rho) - 0.25) < 1e-15
+        m = [0.0, 0.0, 0.0]
+        assert abs(pair_projection_probability(m, m) - 0.25) < 1e-15
 
     def test_partial_state_frozen_value(self):
         # frozen from the explicit 4x4 trace oracle at M = (0.6, 0, 0)
-        rho = density_from_poincare(PoincareVector(0.6, 0, 0))
-        assert abs(singlet_probability(rho, rho) - 0.16) < 1e-12
-        assert abs(brute_force_trace(rho, rho, singlet_projector()) - 0.16) < 1e-12
+        m = [0.6, 0.0, 0.0]
+        assert abs(pair_projection_probability(m, m) - 0.16) < 1e-12
+        assert abs(brute_force_trace(m, m, SINGLET) - 0.16) < 1e-12
 
     def test_orthogonal_pure_states(self):
-        a = density_from_poincare(PoincareVector(0, 0, 1))
-        b = density_from_poincare(PoincareVector(0, 0, -1))
-        assert abs(singlet_probability(a, b) - 0.5) < 1e-15
+        assert abs(pair_projection_probability([0, 0, 1], [0, 0, -1]) - 0.5) < 1e-15
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(17)
-        p_op = singlet_projector()
         worst = 0.0
         for _ in range(1000):
-            a, b = random_density(rng), random_density(rng)
-            worst = max(
-                worst, abs(singlet_probability(a, b) - brute_force_trace(a, b, p_op))
-            )
+            a, b = random_poincare(rng), random_poincare(rng)
+            worst = max(worst, abs(pair_projection_probability(a, b) - brute_force_trace(a, b, SINGLET)))
         assert worst < 1e-12
 
     def test_range_and_zero_condition(self):
         rng = np.random.default_rng(19)
         for _ in range(500):
-            a, b = random_density(rng), random_density(rng)
-            p = singlet_probability(a, b)
+            p = pair_projection_probability(random_poincare(rng), random_poincare(rng))
             assert -1e-15 <= p <= 0.5 + 1e-15
         # zero iff same pure state
-        m = random_poincare(rng, pure=True)
-        same = density_from_poincare(m)
-        assert singlet_probability(same, same) < 1e-14
-        almost = density_from_poincare(rotate_poincare(poincare_from_density(same), random_unit_vector(rng), 1e-3))
-        assert singlet_probability(same, almost) > 0.0
+        same = random_poincare(rng, pure=True)
+        assert pair_projection_probability(same, same) < 1e-14
+        almost = rotated(same, random_unit_vector(rng), 1e-3)
+        assert pair_projection_probability(same, almost) > 0.0
 
     def test_quadratic_law_for_identical_inputs(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
-            rho = random_density(rng)
-            d = dop(poincare_from_density(rho))
-            assert abs(4.0 * singlet_probability(rho, rho) + d * d - 1.0) < 1e-12
+            m = random_poincare(rng)
+            d = np.linalg.norm(m)
+            assert abs(4.0 * pair_projection_probability(m, m) + d * d - 1.0) < 1e-12
 
-    def test_rotational_invariance_through_density_route(self):
+    def test_rotational_invariance(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            a, b = random_density(rng), random_density(rng)
+            a, b = random_poincare(rng), random_poincare(rng)
             axis = random_unit_vector(rng)
             angle = rng.uniform(0, 2 * math.pi)
-            ra = density_from_poincare(rotate_poincare(poincare_from_density(a), axis, angle))
-            rb = density_from_poincare(rotate_poincare(poincare_from_density(b), axis, angle))
-            assert abs(singlet_probability(ra, rb) - singlet_probability(a, b)) < 1e-12
+            ra, rb = rotated(a, axis, angle), rotated(b, axis, angle)
+            assert abs(pair_projection_probability(ra, rb) - pair_projection_probability(a, b)) < 1e-12
 
 
 class TestBruteForceTrace:
     def test_identity_operator_gives_one(self):
         rng = np.random.default_rng(31)
-        identity = TwoPhotonOperator(np.eye(4, dtype=complex))
         for _ in range(20):
-            a, b = random_density(rng), random_density(rng)
-            assert abs(brute_force_trace(a, b, identity) - 1.0) < 1e-12
+            a, b = random_poincare(rng), random_poincare(rng)
+            assert abs(brute_force_trace(a, b, np.eye(4)) - 1.0) < 1e-12
 
     def test_fully_mixed_singlet_quarter(self):
-        rho = density_from_poincare(PoincareVector(0, 0, 0))
-        assert abs(brute_force_trace(rho, rho, singlet_projector()) - 0.25) < 1e-14
+        m = [0.0, 0.0, 0.0]
+        assert abs(brute_force_trace(m, m, SINGLET) - 0.25) < 1e-14
 
 
 class TestPoincareAngle:
@@ -263,20 +270,21 @@ class TestRotatePoincare:
         rng = np.random.default_rng(37)
         m = random_poincare(rng)
         out = rotate_poincare(m, random_unit_vector(rng), 2 * math.pi)
-        assert np.max(np.abs(out.as_array() - m.as_array())) < 1e-12
+        assert np.max(np.abs(out.as_array() - m)) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             m = random_poincare(rng)
             out = rotate_poincare(m, random_unit_vector(rng), rng.uniform(0, 7))
-            assert abs(out.norm() - m.norm()) < 1e-12
+            assert abs(out.norm() - PoincareVector.from_array(m).norm()) < 1e-12
 
     def test_zero_axis_rejected(self):
         with pytest.raises(UndefinedDirectionError):
             rotate_poincare(PoincareVector(0, 0, 1), (0, 0, 0), 1.0)
 
     def test_unitary_route_agrees(self):
+        # conjugating rho by the SU(2) element turns M as rotate_poincare_many does
         rng = np.random.default_rng(43)
         for _ in range(50):
             rho = random_density(rng)
@@ -284,7 +292,7 @@ class TestRotatePoincare:
             angle = rng.uniform(0, 2 * math.pi)
             u = rotation_unitary(axis, angle)
             direct = u @ rho.matrix @ u.conj().T
-            via_vector = density_from_poincare(rotate_poincare(poincare_from_density(rho), axis, angle)).matrix
+            via_vector = density_from_poincare(rotated(poincare_from_density(rho).as_array(), axis, angle)).matrix
             np.testing.assert_allclose(direct, via_vector, atol=1e-12)
 
 
@@ -294,7 +302,7 @@ class TestRotatePoincareMany:
         # between PoincareVector.norm (libm pow) and x * x; axes off unit norm
         # by up to 1e-10
         rng = np.random.default_rng(47)
-        pool = [random_poincare(rng) for _ in range(20_000)]
+        pool = [PoincareVector.from_array(random_poincare(rng)) for _ in range(20_000)]
         pow_trap = [m for m in pool if m.norm() != math.sqrt(m.m1 * m.m1 + m.m2 * m.m2 + m.m3 * m.m3)]
         assert pow_trap
         states = pow_trap + pool[:1000]
@@ -331,7 +339,7 @@ class TestMixtureDopMany:
         # libm pow and x * x, mixed with unequal weights, some zero
         rng = np.random.default_rng(53)
         pool = [random_poincare(rng, pure=bool(k % 2)) for k in range(6000)]
-        mvecs = np.array([m.as_array() for m in pool]).reshape(2000, 3, 3)
+        mvecs = np.array(pool).reshape(2000, 3, 3)
         for weights in ([1.0, 1.0, 1.0], [0.25, 0.5, 0.25], [0.3, 0.0, 1.7]):
             expected = [
                 dop(poincare_from_density(mix([density_from_poincare(m) for m in row], weights)))
@@ -371,13 +379,15 @@ def pool_rows(pool, width):
 
 
 class TestTypeInvariants:
+    # a Stokes vector with negative power or |S123| > S0 has no DOP: the
+    # polarimeter rejects both
     def test_stokes_rejects_negative_power(self):
-        with pytest.raises(InvariantError):
-            StokesVector(-1, 0, 0, 0)
+        with pytest.raises(NumericsError, match="non-positive averaged power"):
+            one_line_polarimeter_dop((-1, 0, 0, 0))
 
     def test_stokes_rejects_overpolarized(self):
-        with pytest.raises(InvariantError):
-            StokesVector(1, 1, 1, 0)
+        with pytest.raises(NumericsError, match="above 1"):
+            one_line_polarimeter_dop((1, 1, 1, 0))
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(InvariantError):
@@ -390,21 +400,6 @@ class TestTypeInvariants:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(InvariantError):
             DensityMatrix(np.diag([1.2, -0.2]))
-
-    def test_pure_state_rejects_unnormalized(self):
-        with pytest.raises(InvariantError):
-            PureState(1.0, 1.0)
-
-    def test_pure_state_poincare_round_trip(self):
-        rng = np.random.default_rng(47)
-        for _ in range(50):
-            m = random_poincare(rng, pure=True)
-            back = PureState.from_poincare(m).poincare()
-            np.testing.assert_allclose(back.as_array(), m.as_array(), atol=1e-12)
-
-    def test_pure_state_from_mixed_vector_rejected(self):
-        with pytest.raises(InvariantError):
-            PureState.from_poincare(PoincareVector(0.3, 0, 0))
 
     def test_density_matrix_is_read_only(self):
         rho = density_from_poincare(PoincareVector(0, 0, 0))

@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from dopsim.polcore import InvariantError, PoincareVector, poincare_angle, rotate_poincare
-from dopsim.sources import (
-    dop_two_pure_lines,
+from dopsim.polcore import InvariantError
+from dopsim.sources import dop_two_pure_lines, great_circle_vectors, modulation_wavelength_offset_nm
+from helpers import random_poincare, random_unit_vector
+from oracles import (
+    PoincareVector,
+    SourceSpec,
+    SpectralLine,
+    density_from_poincare,
     great_circle_pair,
-    great_circle_vectors,
     modulated_carrier_source,
-    modulation_wavelength_offset_nm,
+    poincare_angle,
+    rotate_poincare,
     source_dop,
     two_laser_source,
 )
-from helpers import random_poincare, random_unit_vector
 
 
 def rotated_source(src, axis, angle):
     """Rebuild a source with every line state rotated by one global rotation."""
-    from dopsim.polcore import density_from_poincare
-    from dopsim.sources import SourceSpec, SpectralLine
-
     return SourceSpec(
         tuple(
             SpectralLine(

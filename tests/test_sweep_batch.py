@@ -1,7 +1,7 @@
 """The batched scan and PMD runners against the per-point value-type path.
 
 The per-point path -- one validated two-laser or modulated-carrier beam per
-scan point or DGD step, held in a ``PolarizationTrace.static`` and read by
+scan point or DGD step, held in an ``oracles.static_trace`` and read by
 the meter alone -- is the oracle.  The runners evaluate all points in one
 array pass and must equal it bit for bit (``np.array_equal``), records and
 summaries, over drawn source, scan, PMD and meter settings.
@@ -19,15 +19,21 @@ from hypothesis import strategies as st
 from dopsim import harness
 from dopsim.harness import ConfigError, PmdRecord, ScanRecord, _affine_fit, _streams, load_config
 from dopsim.instruments import (
-    PolarizationTrace,
     degenerate_contamination,
     invert_meter_readout,
     pair_table,
     singlet_meter_raw,
 )
-from dopsim.polcore import PoincareVector
-from dopsim.sources import great_circle_pair, modulated_carrier_source, source_dop, two_laser_source
-from oracles import apply_pmd, pair_normalization
+from oracles import (
+    PoincareVector,
+    apply_pmd,
+    great_circle_pair,
+    modulated_carrier_source,
+    pair_normalization,
+    source_dop,
+    static_trace,
+    two_laser_source,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -118,7 +124,7 @@ def per_point_scan(cfg):
 
     records = []
     for circle, base_idx, two_phi, src in point_beams(dataclasses.asdict(src_cfg), dataclasses.asdict(scan)):
-        trace = PolarizationTrace.static(src, scan.samples_per_point, cfg.dt_s)
+        trace = static_trace(src, scan.samples_per_point, cfg.dt_s)
         readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
         true_dop = source_dop(src)
         records.append(
@@ -203,7 +209,7 @@ def per_point_pmd(cfg):
     records = []
     for dgd in np.linspace(pmd.dgd_start_s, pmd.dgd_stop_s, pmd.dgd_steps):
         src = apply_pmd(src0, float(dgd), tuple(axis / axis_norm), carrier.carrier_nm)
-        trace = PolarizationTrace.static(src, 1, cfg.dt_s)
+        trace = static_trace(src, 1, cfg.dt_s)
         readout = singlet_meter_raw(trace, meter, rng_meter if noisy else None)
         estimate = invert_meter_readout(readout, meter, pair_table(trace.wavelengths, src.intensities(), meter))
         records.append(

@@ -25,9 +25,8 @@ from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
 from dopsim.instruments import invert_meter_readout, pair_table, polarimeter_dop, singlet_meter_raw
-from dopsim.polcore import InvariantError, NumericsError, poincare_angle
-from dopsim.sources import great_circle_pair, two_laser_source
-from oracles import apply_fiber, evolve, trace_from_snapshots
+from dopsim.polcore import InvariantError, NumericsError
+from oracles import apply_fiber, evolve, great_circle_pair, poincare_angle, trace_from_snapshots, two_laser_source
 
 #: acos near +/-1 turns a one-ULP change of the cosine (2.2e-16) into up to
 #: sqrt(2 * 2.2e-16) = 2.1e-8 rad; the batched sphere angle may differ by that.
