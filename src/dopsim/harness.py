@@ -1273,14 +1273,14 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     meter and solve for (gain, dark_offset); returns the calibration record."""
     meter, lines = cfg.meter, line_set(cfg)
     _, rng_meter, _, _ = _streams(cfg.seed)
-    noisy = meter.noise_sigma_rel > 0.0
 
     m_base, m_anti = great_circle_vectors([0, 0], [0.0, 180.0])
-    means = []
-    for beam in ([m_base, m_base], [m_base, m_anti]):  # DOP 1, then DOP 0
-        mvecs = poincare_round_trip(np.array([beam])[:, lines.order])
-        trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, mvecs, cfg.calibrate.samples)
-        means.append(float(singlet_meter_raw(trace, meter, rng_meter if noisy else None, lines.table).mean()))
+    beams = np.array([[m_base, m_base], [m_base, m_anti]])  # DOP 1, then DOP 0
+    mvecs = poincare_round_trip(beams[:, lines.order])
+    trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, mvecs, cfg.calibrate.samples)
+    means = singlet_meter_raw(
+        trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table
+    ).mean(axis=1).tolist()
 
     gain, dark = calibrate_from_references(means[0], means[1], meter.visibility, lines.table.c_bar)
     return {

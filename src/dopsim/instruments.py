@@ -279,6 +279,15 @@ def singlet_meter_raw(
     level.  A batch reads as its beams one after another would: the response
     window never reaches across beams, and the noise draws follow beam order.
     ``table`` is the line set's ``pair_table``, built here when not given.
+
+    A held beam, whose intensities and Poincare vectors broadcast one state
+    over the samples (as ``PolarizationTrace.held`` builds them), read
+    through a one-sample window is read once per beam: each sample's
+    readout is then an elementwise function of its own state, so sample 0
+    gives every sample's bits.  The noise still multiplies all n samples,
+    and the result is a fresh, writable, C-contiguous array.  A longer
+    window reads every sample: its trailing means of a constant come from
+    cumsum differences whose last bits vary along the samples.
     """
     if len(trace.wavelengths) < 2:
         raise InvariantError("singlet_meter_raw: nothing to upconvert in a single-line beam")
@@ -288,9 +297,15 @@ def singlet_meter_raw(
         table = pair_table(trace.wavelengths, np.ones(len(trace.wavelengths)), cfg)
 
     intensities, mvecs = trace.intensities, trace.poincare
-    n_lines, shape = len(trace.wavelengths), intensities.shape[:-1]
+    n_lines, full = len(trace.wavelengths), intensities.shape[:-1]
     # a window as long as the trace reads like any longer one
     window = max(1, int(round(min(cfg.response_time_s / trace.dt_s, len(trace)))))
+    # a held beam (a zero-stride sample axis) read through a one-sample
+    # window gives every sample the bits of sample 0: read that one
+    held = window == 1 and intensities.strides[-2] == 0 and mvecs.strides[-3] == 0
+    if held:
+        intensities, mvecs = intensities[..., :1, :], mvecs[..., :1, :, :]
+    shape = intensities.shape[:-1]
     # each line's averaged power and Poincare vector, one sample plane per
     # component: m_avg is a (..., n, L, 3) view of (L, 3, ..., n) storage
     s0 = [_trailing_mean(intensities[..., l], window) for l in range(n_lines)]
@@ -316,7 +331,9 @@ def singlet_meter_raw(
         cfg.dark_offset,
     )
     if cfg.noise_sigma_rel > 0.0:
-        readout = readout * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(shape))
+        readout = readout * (1.0 + cfg.noise_sigma_rel * rng.standard_normal(full))
+    elif held:
+        readout = np.broadcast_to(readout, full).copy()
     return readout
 
 

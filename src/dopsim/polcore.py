@@ -171,12 +171,15 @@ def _check_densities(hh, vv, re, im, name: str) -> None:
     negative eigenvalue."""
     s = np.sqrt((hh - vv) ** 2 + 4.0 * (re * re + im * im))
     tr = hh + vv
-    if not np.all(np.isfinite(s) & np.isfinite(tr)):
+    unit_trace = np.abs(tr - 1.0) <= ATOL_EXACT
+    # a NaN or infinite s or tr fails both comparisons, so one reduction clears a valid batch
+    if (unit_trace & ((tr - s) / 2.0 >= -ATOL_EXACT)).all():
+        return
+    if not (np.isfinite(s) & np.isfinite(tr)).all():
         raise InvariantError(f"{name}: non-finite density matrix entries")
-    if np.any(np.abs(tr - 1.0) > ATOL_EXACT):
+    if not unit_trace.all():
         raise InvariantError(f"{name}: density matrix trace departs from 1")
-    if np.any((tr - s) / 2.0 < -ATOL_EXACT):
-        raise InvariantError(f"{name}: negative eigenvalue (not a state)")
+    raise InvariantError(f"{name}: negative eigenvalue (not a state)")
 
 
 def mixture_dop_many(mvecs, weights) -> np.ndarray:
@@ -194,25 +197,25 @@ def mixture_dop_many(mvecs, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or not len(w) or mvecs.ndim != 3 or mvecs.shape[1:] != (len(w), 3):
         raise InvariantError("mixture_dop_many: need (P, L, 3) states and L weights (at least one)")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+    if not all(0.0 <= wi < math.inf for wi in w.tolist()):
         raise InvariantError("mixture_dop_many: weights must be finite and >= 0")
     total = float(w.sum())
     if total <= 0.0:
         raise InvariantError("mixture_dop_many: at least one weight must be > 0")
-    # the density entries of each line, mixed in line order
-    hh = vv = re = im = 0.0
-    for line, wi in enumerate(w):
-        m1, m2, m3 = mvecs[:, line, 0], mvecs[:, line, 1], mvecs[:, line, 2]
-        line_hh, line_vv, line_re, line_im = 0.5 * (1.0 + m3), 0.5 * (1.0 - m3), 0.5 * m1, -0.5 * m2
-        _check_densities(line_hh, line_vv, line_re, line_im, "mixture_dop_many: a line state")
-        share = wi / total
-        hh = hh + share * line_hh
-        vv = vv + share * line_vv
-        re = re + share * line_re
-        im = im + share * line_im
+    # the density entries hh, vv, re, im of every line state, four (P, L)
+    # planes, checked at once and then mixed in line order
+    m1, m2, m3 = mvecs[..., 0], mvecs[..., 1], mvecs[..., 2]
+    entries = 0.5 * np.array([1.0 + m3, 1.0 - m3, m1, -m2])
+    _check_densities(*entries, "mixture_dop_many: a line state")
+    mixed = 0.0
+    for line, wi in enumerate(w.tolist()):
+        mixed = mixed + wi / total * entries[..., line]
+    hh, vv, re, im = mixed
     _check_densities(hh, vv, re, im, "mixture_dop_many: a mixture")
-    mixed = np.stack([2.0 * re, -2.0 * im, hh - vv], axis=-1)
-    norms = np.array([math.sqrt(m1**2 + m2**2 + m3**2) for m1, m2, m3 in mixed.tolist()])
-    if not np.all(norms <= 1.0 + ATOL_EXACT):
+    norms = np.array([
+        math.sqrt(x**2 + y**2 + z**2)
+        for x, y, z in zip((2.0 * re).tolist(), (-2.0 * im).tolist(), (hh - vv).tolist())
+    ])
+    if not (norms <= 1.0 + ATOL_EXACT).all():
         raise InvariantError("mixture_dop_many: a mixture is non-finite or has |M| > 1")
     return np.minimum(norms, 1.0)

@@ -11,12 +11,14 @@ bit, compared as int64 words so that a signed zero or a NaN counts too.
 import numpy as np
 import pytest
 
+from dopsim import instruments
 from dopsim.channel import fiber_trace
 from dopsim.harness import _sphere_angles
 from dopsim.instruments import (
     MeterConfig,
     PolarimeterConfig,
     PolarizationTrace,
+    pair_projection_probability,
     pair_table,
     polarimeter_dop,
     singlet_meter_raw,
@@ -27,6 +29,7 @@ from helpers import random_unit_vector
 WAVELENGTHS = (1551.0, 1552.5, 1554.0)
 INTENSITIES = (0.7, 1.3, 0.4)
 BEAMS, SAMPLES = 3, 60
+CALIBRATION_SAMPLES = 30_000  # the bench's calibration references
 
 
 def same_bits(a, b) -> bool:
@@ -47,14 +50,18 @@ def forms(a: np.ndarray, sample_axis: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(a), samples_contiguous(a, sample_axis), a]
 
 
-def held_traces(n_lines: int, dt_s: float = 1e-3) -> list[PolarizationTrace]:
+def held_traces(n_lines: int, dt_s: float = 1e-3, n_samples: int = SAMPLES) -> list[PolarizationTrace]:
     rng = np.random.default_rng(n_lines)
     vectors = poincare_round_trip([[random_unit_vector(rng) for _ in range(n_lines)] for _ in range(BEAMS)])
-    held = PolarizationTrace.held(dt_s, WAVELENGTHS[:n_lines], INTENSITIES[:n_lines], vectors, SAMPLES)
+    held = PolarizationTrace.held(dt_s, WAVELENGTHS[:n_lines], INTENSITIES[:n_lines], vectors, n_samples)
     return [
         PolarizationTrace(dt_s, held.wavelengths, intensities, poincare)
         for intensities, poincare in zip(forms(held.intensities, -2), forms(held.poincare, -3))
     ]
+
+
+def long_held_traces(n_lines: int) -> list[PolarizationTrace]:
+    return held_traces(n_lines, n_samples=CALIBRATION_SAMPLES)
 
 
 def varying_traces(n_lines: int, dt_s: float = 1e-3) -> list[PolarizationTrace]:
@@ -78,11 +85,13 @@ def all_same(results) -> bool:
 
 
 @pytest.mark.parametrize("n_lines", [2, 3])
-@pytest.mark.parametrize("traces", [held_traces, varying_traces])
+@pytest.mark.parametrize("traces", [held_traces, long_held_traces, varying_traces])
 @pytest.mark.parametrize(
     "meter",
     [
+        # a one-sample window, with noise and without
         MeterConfig(noise_sigma_rel=0.15),
+        MeterConfig(),
         # a response window of 7 samples: the trailing mean runs
         MeterConfig(response_time_s=7e-3, stage_phase_rad=0.7, noise_sigma_rel=0.1),
         # contaminated pairs, and a window as long as the trace
@@ -94,7 +103,33 @@ def test_meter(n_lines, traces, meter):
     for trace in traces(n_lines):
         table = pair_table(trace.wavelengths, INTENSITIES[:n_lines], meter)
         results.append(singlet_meter_raw(trace, meter, np.random.default_rng(3), table))
+        if trace.poincare.strides[-3] == 0:
+            readout = results[-1]
+            assert readout.shape == (BEAMS, len(trace))
+            assert readout.flags.c_contiguous and readout.flags.writeable
     assert all_same(results)
+
+
+@pytest.mark.parametrize(
+    "traces, meter, samples_read",
+    [
+        (held_traces, MeterConfig(), 1),
+        (held_traces, MeterConfig(response_time_s=7e-3), SAMPLES),
+        (varying_traces, MeterConfig(), SAMPLES),
+    ],
+)
+def test_meter_reads_a_held_beam_once_per_beam(monkeypatch, traces, meter, samples_read):
+    """Only a held beam through a one-sample window is read from sample 0 alone."""
+    shapes = []
+
+    def spy(ma, mb, stage_phase_rad):
+        shapes.append((ma.shape[:-1], mb.shape[:-1]))
+        return pair_projection_probability(ma, mb, stage_phase_rad)
+
+    monkeypatch.setattr(instruments, "pair_projection_probability", spy)
+    trace = traces(2)[-1]  # for held_traces, the broadcast form
+    singlet_meter_raw(trace, meter)
+    assert shapes == [((BEAMS, samples_read), (BEAMS, samples_read))]
 
 
 @pytest.mark.parametrize("n_lines", [2, 3])

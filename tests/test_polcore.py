@@ -349,16 +349,28 @@ class TestMixtureDopMany:
 
     def test_rejects_bad_weights_and_states(self):
         m = np.zeros((1, 2, 3))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="finite and >= 0"):
             mixture_dop_many(m, [1.0, -1.0])
-        with pytest.raises(InvariantError):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvariantError, match="finite and >= 0"):
+                mixture_dop_many(m, [1.0, bad])
+        with pytest.raises(InvariantError, match="at least one weight"):
             mixture_dop_many(m, [0.0, 0.0])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="need \\(P, L, 3\\) states"):
             mixture_dop_many(m, [1.0, 1.0, 1.0])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="a line state: negative eigenvalue"):
             mixture_dop_many(np.array([[[0.0, 0.0, 1.5], [0.0, 0.0, 1.0]]]), [1.0, 1.0])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="a line state: non-finite density"):
             mixture_dop_many(np.array([[[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]]), [1.0, 1.0])
+        # a bad state in the second line of the second beam, and one whose
+        # density entries lose the 1 of 1 +- m3, so their trace is 0
+        valid = [[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
+        for state, message in (
+            ([0.0, 2.0, 0.0], "negative eigenvalue"),
+            ([0.0, 0.0, 3e16], "density matrix trace departs from 1"),
+        ):
+            with pytest.raises(InvariantError, match=f"a line state: {message}"):
+                mixture_dop_many(np.array([valid, [valid[0], state]]), [1.0, 1.0])
 
 
 class TestCheckPureStates:
