@@ -21,6 +21,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -29,13 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .channel import (
-    FiberState,
-    FluctuationProcess,
-    evolve_window,
-    fiber_trace,
-    pmd_turns,
-)
+from .channel import ChannelSettings, evolve_window, fiber_trace, pmd_turns
 from .instruments import (
     CrystalStack,
     MeterConfig,
@@ -186,7 +181,14 @@ class ListOf:
         values = tuple(self.entry.read(v, f"{label}: entry {i}") for i, v in enumerate(value))
         if not self.unit:
             return values
-        n = math.sqrt(sum(v * v for v in values))
+        squares = sum(v * v for v in values)
+        if squares < sys.float_info.min:
+            # the squares of a tiny vector lose bits below the normal range:
+            # scale it by an exact power of two first
+            exponent = math.frexp(max(abs(v) for v in values))[1]
+            values = tuple(math.ldexp(v, -exponent) for v in values)
+            squares = sum(v * v for v in values)
+        n = math.sqrt(squares)
         if not math.isfinite(n) or n == 0.0:
             raise ConfigError(f"{label}: must be a finite nonzero vector")
         return tuple(v / n for v in values)
@@ -273,17 +275,6 @@ class ShakeSettings:
     two_phi_deg: float = 0.0
     circle_index: int = 0
     base_angle_deg: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChannelSettings:
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    retardance_mean_rad: float = 2.5
-    retardance_sigma_rad: float = 0.5
-    axis_diffusion_rad2_per_s: float = 10.0
-    correlation_time_s: float = 0.1
-    ref_wavelength_nm: float | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -952,7 +943,7 @@ def run_fig2_scan(cfg: ScenarioConfig) -> RunResult:
     means, stds = [], []
     for lo in range(0, len(beams), block):
         trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, beams[lo:lo + block], n)
-        readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table)
+        readout = singlet_meter_raw(trace, meter, rng_meter, lines.table)
         means.append(readout.mean(axis=1))
         stds.append(readout.std(axis=1))
     readout_mean, readout_std = np.concatenate(means), np.concatenate(stds)
@@ -1047,14 +1038,8 @@ def _sphere_angles(m: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
-def _held_fiber(fiber: FiberState, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n samples of an unshaken fiber: axes (n, 3), retardances (n,)."""
-    return np.broadcast_to(np.array(fiber.axis, dtype=float), (n, 3)), np.full(n, fiber.retardance_ref_rad)
-
-
 def _fiber_blocks(
-    fiber: FiberState,
-    process: FluctuationProcess,
+    chan: ChannelSettings,
     rng: np.random.Generator,
     dt_s: float,
     n: int,
@@ -1062,23 +1047,29 @@ def _fiber_blocks(
     block: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The fiber states of a shake run of ``windows`` windows of n samples,
-    as (axes, retardances) per block of ``block`` windows.  The first and the
-    last window hold the fiber still; the windows between walk it, one
-    ``evolve_window`` call per block, each going on from where the last
-    ended.  Only ``rng`` is drawn from."""
+    as (axes, retardances) per block of ``block`` windows.  The fiber starts
+    at ``chan``'s axis and mean retardance; the first and the last window
+    hold it still; the windows between walk it, one ``evolve_window`` call
+    per block, each going on from where the last ended.  Only ``rng`` is
+    drawn from."""
+    axis, retardance = chan.axis, chan.retardance_mean_rad
+
+    def held():  # one window of the fiber as it stands
+        return np.broadcast_to(np.array(axis, dtype=float), (n, 3)), np.full(n, retardance)
+
     last = windows - 1
     for lo in range(0, windows, block):
         hi = min(lo + block, windows)
         first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
         segments = []
         if lo == 0:
-            segments.append(_held_fiber(fiber, n))
+            segments.append(held())
         if first < stop:
-            walk = evolve_window(fiber, dt_s, (stop - first) * n, process, rng)
+            walk = evolve_window(axis, retardance, dt_s, (stop - first) * n, chan, rng)
             segments.append(walk)
-            fiber = FiberState(tuple(walk[0][-1].tolist()), float(walk[1][-1]), fiber.ref_wavelength_nm)
+            axis, retardance = tuple(walk[0][-1].tolist()), float(walk[1][-1])
         if hi > last:
-            segments.append(_held_fiber(fiber, n))
+            segments.append(held())
         yield np.concatenate([a for a, _ in segments]), np.concatenate([r for _, r in segments])
 
 
@@ -1102,10 +1093,9 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     ends and is removed if the run fails.
     """
     shake, chan, meter, lines = cfg.shake, cfg.channel, cfg.meter, line_set(cfg)
-    rng_channel, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
+    _, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
     channel_seed = chan.seed if chan.seed is not None else derived_seed
-    if chan.seed is not None:
-        rng_channel = np.random.default_rng(chan.seed)
+    rng_channel = np.random.default_rng(channel_seed)
 
     (mvecs,) = _two_laser_vectors(
         lines, [shake.circle_index], [shake.base_angle_deg], [shake.two_phi_deg]
@@ -1114,26 +1104,19 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     ref_wavelength = chan.ref_wavelength_nm
     if ref_wavelength is None:
         ref_wavelength = lines.wavelengths[0]
-    process = FluctuationProcess(
-        correlation_time_s=chan.correlation_time_s,
-        axis_diffusion_rad2_per_s=chan.axis_diffusion_rad2_per_s,
-        retardance_sigma_rad=chan.retardance_sigma_rad,
-        retardance_mean_rad=chan.retardance_mean_rad,
-    )
-    fiber = FiberState(chan.axis, chan.retardance_mean_rad, ref_wavelength)
+    wavelengths = np.array(lines.wavelengths, dtype=float)
+    intensities = np.array(lines.intensities, dtype=float)
 
     n = int(round(shake.window_s / cfg.dt_s))
     last = shake.windows - 1  # the first and last windows are unshaken
     block = max(1, BLOCK_SAMPLES // n)
-    meter_noisy = meter.noise_sigma_rel > 0.0
-    pol_noisy = cfg.polarimeter.noise_sigma_rel > 0.0
 
     records: list[ShakeRecord] = []
     deflection_sum, deflection_max = 0.0, 0.0  # over the shaken samples
     trajectory = nullcontext() if trajectory_csv is None else csv_writer(
         trajectory_csv, TRAJECTORY_CSV_HEADER, TRAJECTORY_CSV_ROW
     )
-    states = _fiber_blocks(fiber, process, rng_channel, cfg.dt_s, n, shake.windows, block)
+    states = _fiber_blocks(chan, rng_channel, cfg.dt_s, n, shake.windows, block)
     # fork before the trajectory file opens, so the child holds no copy of it
     with child_iterator(states) as blocks, trajectory as write_trajectory:
         for lo, (axes, retardances) in zip(range(0, shake.windows, block), blocks):
@@ -1142,17 +1125,12 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
             if write_trajectory is not None:
                 write_trajectory(np.column_stack((np.arange(lo * n, hi * n) * cfg.dt_s, axes, retardances)))
 
-            beam = fiber_trace(
-                lines.wavelengths, lines.intensities, line_vectors, axes, retardances, ref_wavelength, cfg.dt_s
-            )
-            batch = (hi - lo, n, len(lines.wavelengths))  # the block's windows as a batch of beams
+            poincare = fiber_trace(wavelengths, line_vectors, axes, retardances, ref_wavelength)
+            batch = (hi - lo, n, len(wavelengths))  # the block's windows as a batch of beams
             trace = PolarizationTrace(
-                cfg.dt_s,
-                beam.wavelengths,
-                np.broadcast_to(beam.intensities[0], batch),
-                beam.poincare.reshape(batch + (3,)),
+                cfg.dt_s, wavelengths, np.broadcast_to(intensities, batch), poincare.reshape(batch + (3,))
             )
-            line1 = beam.poincare[:, 0, :]
+            line1 = poincare[:, 0, :]
             if lo == 0:
                 reference_m1 = line1[0]
             if first < stop:
@@ -1160,9 +1138,9 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
                 deflection_sum += float(angles.sum())
                 deflection_max = max(deflection_max, float(angles.max()))
 
-            readout_mean = singlet_meter_raw(trace, meter, rng_meter if meter_noisy else None, lines.table).mean(axis=1)
+            readout_mean = singlet_meter_raw(trace, meter, rng_meter, lines.table).mean(axis=1)
             estimate = invert_meter_readout(readout_mean, meter, lines.table)
-            pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol if pol_noisy else None).mean(axis=1)
+            pol = polarimeter_dop(trace, cfg.polarimeter, rng_pol).mean(axis=1)
             records.extend(
                 ShakeRecord(
                     window, window * shake.window_s, (window + 1) * shake.window_s, 0 < window < last, r, d, c, p
@@ -1239,7 +1217,7 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> RunResult:
 
     source_dop = mixture_dop_many(mvecs, lines.intensities)
     trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, poincare_round_trip(mvecs), 1)
-    readout = singlet_meter_raw(trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table)
+    readout = singlet_meter_raw(trace, meter, rng_meter, lines.table)
     estimate = invert_meter_readout(readout[:, 0], meter, lines.table)
     records = list(map(PmdRecord._make, zip(
         dgd.tolist(), source_dop.tolist(), estimate.dop.tolist(), estimate.clipped.tolist()
@@ -1278,9 +1256,7 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     beams = np.array([[m_base, m_base], [m_base, m_anti]])  # DOP 1, then DOP 0
     mvecs = poincare_round_trip(beams[:, lines.order])
     trace = PolarizationTrace.held(cfg.dt_s, lines.wavelengths, lines.intensities, mvecs, cfg.calibrate.samples)
-    means = singlet_meter_raw(
-        trace, meter, rng_meter if meter.noise_sigma_rel > 0.0 else None, lines.table
-    ).mean(axis=1).tolist()
+    means = singlet_meter_raw(trace, meter, rng_meter, lines.table).mean(axis=1).tolist()
 
     gain, dark = calibrate_from_references(means[0], means[1], meter.visibility, lines.table.c_bar)
     return {

@@ -74,22 +74,6 @@ def brute_force_trace(ma, mb, op) -> float:
     return val.real
 
 
-def _unit_axis(axis) -> tuple[float, float, float]:
-    if isinstance(axis, tuple) and len(axis) == 3:
-        k1, k2, k3 = axis
-    else:
-        arr = np.asarray(axis, dtype=float).reshape(3)
-        k1, k2, k3 = float(arr[0]), float(arr[1]), float(arr[2])
-    n = math.sqrt(k1 * k1 + k2 * k2 + k3 * k3)
-    if not math.isfinite(n):
-        raise InvariantError("rotation axis has non-finite components")
-    if n == 0.0:
-        raise UndefinedDirectionError("rotation axis must be nonzero")
-    if abs(n - 1.0) > ATOL_INPUT:
-        raise InvariantError(f"rotation axis norm {n:.12g} not within 1e-9 of 1")
-    return (k1 / n, k2 / n, k3 / n)
-
-
 def rotate_poincare_many(states, axes, angles) -> np.ndarray:
     """Rotate each of L states by each of n (axis, angle) samples: (n, L, 3).
 

@@ -9,7 +9,7 @@ invariants, the scalar maps between them (``density_from_poincare``,
 ``modulated_carrier_source``, ``source_dop``, ``great_circle_pair``,
 ``static_trace``).  The golden outputs were recorded through this
 arithmetic.  The second half takes one beam (``SourceSpec``) or one fiber
-state at a time, built from those operations.
+state (``FiberState``) at a time, built from those operations.
 
 The shipped array paths -- ``polcore.rotate_poincare_many``,
 ``polcore.mixture_dop_many``, ``channel.evolve_window``,
@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dopsim.channel import FiberState, FluctuationProcess, pmd_turns
+from dopsim.channel import ChannelSettings, pmd_turns
 from dopsim.instruments import (
     MeterConfig,
     MeterDopEstimate,
@@ -47,12 +47,28 @@ from dopsim.polcore import (
     PAULI_3,
     InvariantError,
     UndefinedDirectionError,
-    _unit_axis,
 )
 from dopsim.sources import great_circle_vectors, modulation_wavelength_offset_nm
 
 #: Generic sideband pattern for an intensity-modulated carrier.
 DEFAULT_INTENSITY_SPLIT = (0.25, 0.5, 0.25)
+
+
+def _unit_axis(axis) -> tuple[float, float, float]:
+    """A rotation axis (3,) given within 1e-9 of unit norm, renormalised."""
+    if isinstance(axis, tuple) and len(axis) == 3:
+        k1, k2, k3 = axis
+    else:
+        arr = np.asarray(axis, dtype=float).reshape(3)
+        k1, k2, k3 = float(arr[0]), float(arr[1]), float(arr[2])
+    n = math.sqrt(k1 * k1 + k2 * k2 + k3 * k3)
+    if not math.isfinite(n):
+        raise InvariantError("rotation axis has non-finite components")
+    if n == 0.0:
+        raise UndefinedDirectionError("rotation axis must be nonzero")
+    if abs(n - 1.0) > ATOL_INPUT:
+        raise InvariantError(f"rotation axis norm {n:.12g} not within 1e-9 of 1")
+    return (k1 / n, k2 / n, k3 / n)
 
 
 @dataclass(frozen=True)
@@ -337,6 +353,23 @@ def _rotate_lines(src: SourceSpec, axis, angles: Sequence[float]) -> SourceSpec:
     )
 
 
+@dataclass(frozen=True)
+class FiberState:
+    """Instantaneous birefringence: rotation axis on the Poincare sphere and
+    the rotation angle at a reference wavelength."""
+
+    axis: tuple[float, float, float]
+    retardance_ref_rad: float
+    ref_wavelength_nm: float
+
+    def __post_init__(self) -> None:
+        _unit_axis(self.axis)  # validates; the axis is kept as given, not renormalised
+        if not math.isfinite(self.retardance_ref_rad):
+            raise InvariantError("FiberState: retardance must be finite")
+        if not (math.isfinite(self.ref_wavelength_nm) and self.ref_wavelength_nm > 0.0):
+            raise InvariantError("FiberState: reference wavelength must be > 0")
+
+
 def apply_fiber(src: SourceSpec, fiber: FiberState) -> SourceSpec:
     """Rotate each line about the fiber axis by its wavelength's retardance,
     theta_ref * lambda_ref / lambda."""
@@ -352,10 +385,11 @@ def apply_fiber(src: SourceSpec, fiber: FiberState) -> SourceSpec:
 def evolve(
     fiber: FiberState,
     dt_s: float,
-    process: FluctuationProcess,
+    chan: ChannelSettings,
     rng: np.random.Generator,
 ) -> FiberState:
-    """One stochastic step of the shaking process; pure in (state, rng draw).
+    """One stochastic step of the shaking process of the channel section
+    ``chan``; pure in (state, rng draw).
 
     Two trajectories driven by generators seeded identically are identical.
     """
@@ -363,8 +397,8 @@ def evolve(
         raise InvariantError("evolve: dt_s must be > 0")
 
     a1, a2, a3 = fiber.axis
-    if process.axis_diffusion_rad2_per_s > 0.0:
-        scale = math.sqrt(process.axis_diffusion_rad2_per_s * dt_s)
+    if chan.axis_diffusion_rad2_per_s > 0.0:
+        scale = math.sqrt(chan.axis_diffusion_rad2_per_s * dt_s)
         g = rng.standard_normal(3)
         g1, g2, g3 = scale * g[0], scale * g[1], scale * g[2]
         radial = g1 * a1 + g2 * a2 + g3 * a3
@@ -375,9 +409,9 @@ def evolve(
         a1, a2, a3 = b1 / n, b2 / n, b3 / n
 
     retardance = fiber.retardance_ref_rad
-    if process.retardance_sigma_rad > 0.0:
-        a = math.exp(-dt_s / process.correlation_time_s)
-        mu, sigma = process.retardance_mean_rad, process.retardance_sigma_rad
+    if chan.retardance_sigma_rad > 0.0:
+        a = math.exp(-dt_s / chan.correlation_time_s)
+        mu, sigma = chan.retardance_mean_rad, chan.retardance_sigma_rad
         retardance = mu + (retardance - mu) * a + sigma * math.sqrt(1.0 - a * a) * float(rng.standard_normal())
 
     return FiberState(

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dopsim.channel import FiberState, FluctuationProcess, evolve_window, fiber_trace
+from dopsim.channel import ChannelSettings, evolve_window, fiber_trace
 from dopsim.polcore import InvariantError
 from dopsim.sources import SPEED_OF_LIGHT_M_PER_S
 from helpers import random_poincare, random_unit_vector
 from oracles import (
+    FiberState,
     PoincareVector,
     SourceSpec,
     SpectralLine,
@@ -28,15 +29,10 @@ def make_two_line(m1=None, m2=None, i1=1.0, i2=1.0):
     return two_laser_source(1552.0, 1554.0, i1, i2, m1, m2)
 
 
-def source_trace(src, axes, retardances):
-    """``src``'s beam behind the fiber states, referenced at 1552 nm."""
-    lines = np.array([line.poincare().as_array() for line in src.lines])
-    return fiber_trace(src.wavelengths_nm(), src.intensities(), lines, axes, retardances, 1552.0, 1.0)
-
-
 def through_fiber(src, axis, retardance):
     """The lines' Poincare vectors (L, 3) behind one fiber state, referenced at 1552 nm."""
-    return source_trace(src, np.array([axis], dtype=float), np.array([retardance])).poincare[0]
+    lines = np.array([line.poincare().as_array() for line in src.lines])
+    return fiber_trace(src.wavelengths_nm(), lines, np.array([axis], dtype=float), np.array([retardance]), 1552.0)[0]
 
 
 class TestApplyFiber:
@@ -58,12 +54,10 @@ class TestApplyFiber:
         assert abs(delta - (1.0 - 1552.0 / 1554.0)) < 1e-15
         assert abs(delta - 1.3e-3) < 1e-4
 
-    def test_preserves_norm_and_intensity(self):
+    def test_preserves_norm(self):
         rng = np.random.default_rng(211)
         src = make_two_line(random_poincare(rng, pure=True), random_poincare(rng, pure=True), 0.7, 1.3)
-        trace = source_trace(src, random_unit_vector(rng)[None], np.array([2.3]))
-        assert trace.intensities[0].tolist() == list(src.intensities())
-        for line, out in zip(src.lines, trace.poincare[0]):
+        for line, out in zip(src.lines, through_fiber(src, random_unit_vector(rng), 2.3)):
             assert abs(line.poincare().norm() - np.linalg.norm(out)) < 1e-12
 
     def test_composition_about_one_axis(self):
@@ -85,25 +79,22 @@ class TestEvolve:
             retardance_mean_rad=2.0,
         )
         base.update(kw)
-        return FluctuationProcess(**base)
+        return ChannelSettings(**base)
 
     def test_frozen_process_is_identity(self):
-        fiber = FiberState((0, 0, 1), 1.7, 1552.0)
         proc = self.process(axis_diffusion_rad2_per_s=0.0, retardance_sigma_rad=0.0)
-        axes, retardances = evolve_window(fiber, 0.01, 5, proc, np.random.default_rng(0))
-        assert axes.tolist() == [list(fiber.axis)] * 5
-        assert retardances.tolist() == [fiber.retardance_ref_rad] * 5
+        axes, retardances = evolve_window((0, 0, 1), 1.7, 0.01, 5, proc, np.random.default_rng(0))
+        assert axes.tolist() == [[0.0, 0.0, 1.0]] * 5
+        assert retardances.tolist() == [1.7] * 5
 
     def test_same_seed_same_trajectory(self):
-        fiber = FiberState((0, 0, 1), 2.0, 1552.0)
         proc = self.process()
-        runs = [evolve_window(fiber, 0.01, 200, proc, np.random.default_rng(1)) for _ in range(2)]
+        runs = [evolve_window((0, 0, 1), 2.0, 0.01, 200, proc, np.random.default_rng(1)) for _ in range(2)]
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_axis_stays_unit_norm(self):
-        fiber = FiberState((0, 0, 1), 2.0, 1552.0)
-        axes, _ = evolve_window(fiber, 0.01, 2000, self.process(), np.random.default_rng(3))
+        axes, _ = evolve_window((0, 0, 1), 2.0, 0.01, 2000, self.process(), np.random.default_rng(3))
         assert np.all(np.abs(np.linalg.norm(axes, axis=1) - 1.0) < 1e-9)
 
     def test_stationary_retardance_statistics(self):
@@ -111,14 +102,14 @@ class TestEvolve:
         # shake runner chains them; subsample every 5 tau for a nearly
         # independent draw from the stationary law
         proc = self.process()
-        f = FiberState((0, 0, 1), proc.retardance_mean_rad, 1552.0)
+        axis, retardance = (0, 0, 1), proc.retardance_mean_rad
         rng = np.random.default_rng(12345)
         dt = proc.correlation_time_s / 2.0
         n_steps = 1_000_000
         blocks = []
         for start in range(0, n_steps, 2048):
-            axes, ret = evolve_window(f, dt, min(2048, n_steps - start), proc, rng)
-            f = FiberState(tuple(axes[-1].tolist()), float(ret[-1]), 1552.0)
+            axes, ret = evolve_window(axis, retardance, dt, min(2048, n_steps - start), proc, rng)
+            axis, retardance = tuple(axes[-1].tolist()), float(ret[-1])
             blocks.append(ret)
         retardances = np.concatenate(blocks)
 

@@ -117,6 +117,14 @@ class TestConfigLoading:
         cfg = load_config(doc)
         assert cfg.pmd.axis == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", [[1e-160, 0.0, 0.0], [5e-324, 0.0, 0.0], [0.0, 3e-170, -4e-170]])
+    def test_tiny_axes_are_normalized(self, axis):
+        # their squares fall below the normal range, where they lose bits
+        cfg = load_config({"scenario": "pmd_sweep", "pmd": {"axis": axis}})
+        scaled = np.array(axis) * 2.0**1000  # exact
+        assert cfg.pmd.axis == pytest.approx(scaled / np.linalg.norm(scaled), rel=1e-15)
+        assert abs(math.fsum(v * v for v in cfg.pmd.axis) - 1.0) < 1e-15
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             load_config({"scenario": "fig2_scan", "seed": -3})
@@ -606,10 +614,14 @@ class TestCli:
             ("channel", {"ref_wavelength_nm": 0}, "channel.ref_wavelength_nm"),
             ("channel", {"ref_wavelength_nm": -5}, "channel.ref_wavelength_nm"),
             ("channel", {"seed": -1}, "channel.seed"),
+            ("channel", {"correlation_time_s": 0}, "channel.correlation_time_s"),
+            ("channel", {"axis_diffusion_rad2_per_s": -1}, "channel.axis_diffusion_rad2_per_s"),
+            ("channel", {"retardance_sigma_rad": -0.1}, "channel.retardance_sigma_rad"),
             ("polarimeter", {"integration_time_s": 0.8}, "polarimeter.integration_time_s"),
         ],
         ids=["ref_wavelength_str", "ref_wavelength_zero", "ref_wavelength_negative",
-             "channel_seed_negative", "integration_longer_than_window"],
+             "channel_seed_negative", "correlation_time_zero", "axis_diffusion_negative",
+             "retardance_sigma_negative", "integration_longer_than_window"],
     )
     def test_shake_config_error_exits_2_naming_field(self, tmp_path, capsys, section, fields, path):
         config = write_json(tmp_path / "shake.json", dict(SMALL_SHAKE, **{section: fields}))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dopsim.channel import FiberState
 from dopsim.instruments import (
     CrystalStack,
     MeterConfig,
@@ -24,6 +23,7 @@ from dopsim.instruments import (
 from dopsim.polcore import InvariantError, NumericsError, brute_force_trace, mixture_dop_many
 from helpers import random_poincare, random_unit_vector
 from oracles import (
+    FiberState,
     PoincareVector,
     SourceSpec,
     SpectralLine,

@@ -70,12 +70,13 @@ def varying_traces(n_lines: int, dt_s: float = 1e-3) -> list[PolarizationTrace]:
     axes = np.array([random_unit_vector(rng) for _ in range(BEAMS * SAMPLES)])
     lines = poincare_round_trip([random_unit_vector(rng) for _ in range(n_lines)])
     retardances = rng.normal(2.5, 0.5, BEAMS * SAMPLES)
-    beam = fiber_trace(WAVELENGTHS[:n_lines], INTENSITIES[:n_lines], lines, axes, retardances, WAVELENGTHS[0], dt_s)
+    beam = fiber_trace(WAVELENGTHS[:n_lines], lines, axes, retardances, WAVELENGTHS[0])
     intensities = rng.uniform(0.0, 2.0, (BEAMS, SAMPLES, n_lines))
     intensities[0, :5] = 0.0  # dark samples, where the meter's mean vector is 0
-    poincare = np.ascontiguousarray(beam.poincare).reshape(BEAMS, SAMPLES, n_lines, 3)
+    poincare = np.ascontiguousarray(beam).reshape(BEAMS, SAMPLES, n_lines, 3)
+    wavelengths = np.array(WAVELENGTHS[:n_lines])
     return [
-        PolarizationTrace(dt_s, beam.wavelengths, i, p)
+        PolarizationTrace(dt_s, wavelengths, i, p)
         for i, p in ((intensities, poincare), (samples_contiguous(intensities, -2), samples_contiguous(poincare, -3)))
     ]
 
@@ -156,7 +157,7 @@ def test_rotation_and_fiber():
     rotated, beams = [], []
     for states, axis_rows, turns, r in zip(forms(lines, 0), forms(axes, 0), forms(angles, 0), forms(retardances, 0)):
         rotated.append(rotate_poincare_many(states, axis_rows, turns))
-        beams.append(fiber_trace(WAVELENGTHS, INTENSITIES, states, axis_rows, np.asarray(r), 1552.0, 1e-3).poincare)
+        beams.append(fiber_trace(WAVELENGTHS, states, axis_rows, np.asarray(r), 1552.0))
     assert all_same(rotated) and all_same(beams)
 
 

@@ -20,13 +20,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dopsim.channel import FiberState, FluctuationProcess, evolve_window, fiber_trace
+from dopsim.channel import evolve_window, fiber_trace
 from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
-from dopsim.instruments import invert_meter_readout, pair_table, polarimeter_dop, singlet_meter_raw
+from dopsim.instruments import PolarizationTrace, invert_meter_readout, pair_table, polarimeter_dop, singlet_meter_raw
 from dopsim.polcore import InvariantError, NumericsError
-from oracles import apply_fiber, evolve, great_circle_pair, poincare_angle, trace_from_snapshots, two_laser_source
+from oracles import (
+    FiberState,
+    apply_fiber,
+    evolve,
+    great_circle_pair,
+    poincare_angle,
+    trace_from_snapshots,
+    two_laser_source,
+)
 
 #: acos near +/-1 turns a one-ULP change of the cosine (2.2e-16) into up to
 #: sqrt(2 * 2.2e-16) = 2.1e-8 rad; the batched sphere angle may differ by that.
@@ -90,20 +98,14 @@ def shake_docs(draw):
 
 
 def shake_setup(cfg):
-    """(source, reference wavelength, shaking process, initial fiber) as the runner builds them."""
+    """(source, reference wavelength, initial fiber) as the runner builds them."""
     shake, src_cfg, chan = cfg.shake, cfg.two_laser, cfg.channel
     m1, m2 = great_circle_pair(shake.circle_index, shake.base_angle_deg, shake.two_phi_deg)
     src = two_laser_source(
         src_cfg.lambda1_nm, src_cfg.lambda2_nm, src_cfg.intensity1, src_cfg.intensity2, m1, m2
     )
     ref = chan.ref_wavelength_nm if chan.ref_wavelength_nm is not None else src.wavelengths_nm()[0]
-    process = FluctuationProcess(
-        correlation_time_s=chan.correlation_time_s,
-        axis_diffusion_rad2_per_s=chan.axis_diffusion_rad2_per_s,
-        retardance_sigma_rad=chan.retardance_sigma_rad,
-        retardance_mean_rad=chan.retardance_mean_rad,
-    )
-    return src, ref, process, FiberState(chan.axis, chan.retardance_mean_rad, ref)
+    return src, ref, FiberState(chan.axis, chan.retardance_mean_rad, ref)
 
 
 def per_sample_run(cfg):
@@ -113,7 +115,7 @@ def per_sample_run(cfg):
     rng_channel, rng_meter, rng_pol, _ = _streams(cfg.seed)
     if cfg.channel.seed is not None:
         rng_channel = np.random.default_rng(cfg.channel.seed)
-    src, _, process, fiber = shake_setup(cfg)
+    src, _, fiber = shake_setup(cfg)
     reference_m1 = apply_fiber(src, fiber).lines[0].poincare()
     n = int(round(shake.window_s / cfg.dt_s))
 
@@ -123,7 +125,7 @@ def per_sample_run(cfg):
         snapshots = []
         for _ in range(n):
             if shaken:
-                fiber = evolve(fiber, cfg.dt_s, process, rng_channel)
+                fiber = evolve(fiber, cfg.dt_s, cfg.channel, rng_channel)
             snap = apply_fiber(src, fiber)
             snapshots.append(snap)
             states.append(fiber.axis + (fiber.retardance_ref_rad,))
@@ -155,24 +157,25 @@ def per_sample_run(cfg):
 @given(doc=shake_docs(), channel_seed=st.integers(0, 2**32))
 def test_window_equals_evolve_and_apply_fiber_loop(doc, channel_seed):
     cfg = load_config(doc)
-    src, ref, process, fiber = shake_setup(cfg)
+    src, ref, fiber = shake_setup(cfg)
     n = int(round(cfg.shake.window_s / cfg.dt_s))
 
-    axes, retardances = evolve_window(fiber, cfg.dt_s, n, process, np.random.default_rng(channel_seed))
+    axes, retardances = evolve_window(
+        fiber.axis, fiber.retardance_ref_rad, cfg.dt_s, n, cfg.channel, np.random.default_rng(channel_seed)
+    )
     rng = np.random.default_rng(channel_seed)
     fibers = []
     for _ in range(n):
-        fiber = evolve(fiber, cfg.dt_s, process, rng)
+        fiber = evolve(fiber, cfg.dt_s, cfg.channel, rng)
         fibers.append(fiber)
     assert np.array_equal(axes, np.array([f.axis for f in fibers], dtype=float))
     assert np.array_equal(retardances, np.array([f.retardance_ref_rad for f in fibers]))
 
     lines = np.array([line.poincare().as_array() for line in src.lines])
-    trace = fiber_trace(src.wavelengths_nm(), src.intensities(), lines, axes, retardances, ref, cfg.dt_s)
+    poincare = fiber_trace(src.wavelengths_nm(), lines, axes, retardances, ref)
     oracle = trace_from_snapshots(cfg.dt_s, [apply_fiber(src, f) for f in fibers])
-    assert np.array_equal(trace.wavelengths, oracle.wavelengths)
-    assert np.array_equal(trace.intensities, oracle.intensities)
-    assert np.array_equal(trace.poincare, oracle.poincare)
+    assert np.array_equal(poincare, oracle.poincare)
+    trace = PolarizationTrace(cfg.dt_s, oracle.wavelengths, oracle.intensities, poincare)
 
     meter, pol_cfg = cfg.meter, cfg.polarimeter
     assert np.array_equal(
