@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
-import signal
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -722,15 +720,13 @@ def check(cfg: ScenarioConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator, int]:
-    """(channel rng, meter rng, polarimeter rng, derived channel seed)."""
+def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, int]:
+    """(meter rng, polarimeter rng, derived channel seed)."""
     children = np.random.SeedSequence(seed).spawn(3)
-    derived_channel_seed = int(children[0].generate_state(1)[0])
     return (
-        np.random.default_rng(derived_channel_seed),
         np.random.default_rng(children[1]),
         np.random.default_rng(children[2]),
-        derived_channel_seed,
+        int(children[0].generate_state(1)[0]),
     )
 
 
@@ -803,68 +799,6 @@ def _write_json(path: str | Path, payload: dict) -> None:
         fh.write(text)
 
 
-@contextmanager
-def child_iterator(items: Iterable):
-    """``with child_iterator(items) as it`` gives an iterator over ``items``
-    that a child process made by ``os.fork`` runs ahead of the caller.
-
-    The child pickles each item into a pipe, whose buffer (64 KB on Linux)
-    bounds how far ahead it gets.  Fork copies the calling thread alone, so
-    the items must need no lock another thread may hold.  An exception that
-    iterating ``items`` raises reaches the caller after the items before it,
-    with its class and message.  Leaving the ``with`` block, the items used
-    up or not, ends and reaps the child, which leaves only through
-    ``os._exit``: it flushes no buffer it inherited.  Where ``os.fork`` does
-    not exist, the items are iterated in this process.
-    """
-    if not hasattr(os, "fork"):
-        yield iter(items)
-        return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _send_items(items, write_fd)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    try:
-        yield _received_items(pipe)
-    finally:
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _send_items(items: Iterable, fd: int) -> NoReturn:
-    """The child's side of ``child_iterator``: (True, item) per item, then
-    (False, None), or (False, exception) where iterating fails."""
-    try:
-        with open(fd, "wb") as pipe:
-            try:
-                for item in items:
-                    pipe.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
-                    pipe.flush()
-                end = (False, None)
-            except Exception as exc:
-                end = (False, exc)
-            pipe.write(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
-    finally:
-        os._exit(0)
-
-
-def _received_items(pipe) -> Iterator:
-    while True:
-        try:
-            more, value = pickle.load(pipe)
-        except EOFError:
-            raise ChildProcessError("child_iterator: the child process ended without its last item") from None
-        if not more:
-            if value is not None:
-                raise value
-            return
-        yield value
-
-
 # ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
@@ -925,7 +859,7 @@ def run_fig2_scan(cfg: ScenarioConfig) -> RunResult:
     state, then level): the same records, bit for bit, as building one
     two-laser beam per point and reading it alone."""
     scan, meter, lines = cfg.scan, cfg.meter, line_set(cfg)
-    _, rng_meter, _, _ = _streams(cfg.seed)
+    rng_meter, _, _ = _streams(cfg.seed)
 
     circle, base_idx, two_phi = (
         a.ravel()
@@ -1084,8 +1018,7 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     meter, inversion and polarimeter call on the batch of its windows, and
     one sphere-angle call: the same records and channel stream, bit for bit,
     as advancing and reading the windows one by one.  The fiber states come
-    from ``_fiber_blocks`` in a ``child_iterator``, which walks each block
-    while this process reads the one before.
+    from ``_fiber_blocks``, walked in this process one block at a time.
 
     Given ``trajectory_csv``, each block's fiber states go there as the block
     is made, one row per sample (time_s, axis1..3, retardance_rad), so memory
@@ -1093,7 +1026,7 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
     ends and is removed if the run fails.
     """
     shake, chan, meter, lines = cfg.shake, cfg.channel, cfg.meter, line_set(cfg)
-    _, rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
+    rng_meter, rng_pol, derived_seed = _streams(cfg.seed)
     channel_seed = chan.seed if chan.seed is not None else derived_seed
     rng_channel = np.random.default_rng(channel_seed)
 
@@ -1117,9 +1050,8 @@ def run_fig3_shake(cfg: ScenarioConfig, trajectory_csv: str | Path | None = None
         trajectory_csv, TRAJECTORY_CSV_HEADER, TRAJECTORY_CSV_ROW
     )
     states = _fiber_blocks(chan, rng_channel, cfg.dt_s, n, shake.windows, block)
-    # fork before the trajectory file opens, so the child holds no copy of it
-    with child_iterator(states) as blocks, trajectory as write_trajectory:
-        for lo, (axes, retardances) in zip(range(0, shake.windows, block), blocks):
+    with trajectory as write_trajectory:
+        for lo, (axes, retardances) in zip(range(0, shake.windows, block), states):
             hi = min(lo + block, shake.windows)
             first, stop = max(lo, 1), min(hi, last)  # the block's shaken windows
             if write_trajectory is not None:
@@ -1197,7 +1129,7 @@ def run_pmd_sweep(cfg: ScenarioConfig) -> RunResult:
     step's beam on its own.  ``tests/oracles.py`` holds the per-step
     reference, ``apply_pmd``, which the records equal bit for bit."""
     carrier, pmd, meter, lines = cfg.carrier, cfg.pmd, cfg.meter, line_set(cfg)
-    _, rng_meter, _, _ = _streams(cfg.seed)
+    rng_meter, _, _ = _streams(cfg.seed)
 
     # every line carries the configured polarization
     m0 = np.array(carrier.poincare, dtype=float)
@@ -1250,7 +1182,7 @@ def run_calibrate(cfg: ScenarioConfig) -> dict:
     """Measure a DOP-1 and a DOP-0 balanced reference through the configured
     meter and solve for (gain, dark_offset); returns the calibration record."""
     meter, lines = cfg.meter, line_set(cfg)
-    _, rng_meter, _, _ = _streams(cfg.seed)
+    rng_meter, _, _ = _streams(cfg.seed)
 
     m_base, m_anti = great_circle_vectors([0, 0], [0.0, 180.0])
     beams = np.array([[m_base, m_base], [m_base, m_anti]])  # DOP 1, then DOP 0

@@ -119,7 +119,7 @@ def point_beams(source, scan):
 def per_point_scan(cfg):
     """The scan as one two-laser beam and one meter call per point: (records, summary)."""
     scan, src_cfg, meter = cfg.scan, cfg.two_laser, cfg.meter
-    _, rng_meter, _, _ = _streams(cfg.seed)
+    rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
 
     records = []
@@ -198,7 +198,7 @@ def per_point_scan(cfg):
 def per_point_pmd(cfg):
     """The PMD sweep as one apply_pmd, beam and meter call per step: (records, summary)."""
     carrier, pmd, meter = cfg.carrier, cfg.pmd, cfg.meter
-    _, rng_meter, _, _ = _streams(cfg.seed)
+    rng_meter, _, _ = _streams(cfg.seed)
     noisy = meter.noise_sigma_rel > 0.0
     m0 = PoincareVector.from_array(carrier.poincare)
     src0 = modulated_carrier_source(carrier.carrier_nm, carrier.bitrate_hz, m0, m0, m0, carrier.intensity_split)

@@ -112,9 +112,8 @@ def per_sample_run(cfg):
     """The shake runner as one evolve + apply_fiber per sample and one
     snapshot-built trace per window: (records, axes, retardances, deflections)."""
     shake, meter, pol_cfg = cfg.shake, cfg.meter, cfg.polarimeter
-    rng_channel, rng_meter, rng_pol, _ = _streams(cfg.seed)
-    if cfg.channel.seed is not None:
-        rng_channel = np.random.default_rng(cfg.channel.seed)
+    rng_meter, rng_pol, derived = _streams(cfg.seed)
+    rng_channel = np.random.default_rng(cfg.channel.seed if cfg.channel.seed is not None else derived)
     src, _, fiber = shake_setup(cfg)
     reference_m1 = apply_fiber(src, fiber).lines[0].poincare()
     n = int(round(shake.window_s / cfg.dt_s))
@@ -248,17 +247,14 @@ def test_failed_run_leaves_no_trajectory(tmp_path):
         assert cli_main(["shake", "--config", str(config), "--out", str(out)]) == 3
     assert len(calls) == 2
     assert list(out.iterdir()) == []
-    with pytest.raises(ChildProcessError):  # the walk's child process is reaped
+    with pytest.raises(ChildProcessError):  # the run leaves no process behind
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
-def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys, monkeypatch, forked):
+def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys):
     # a retardance kick near the float limit: the config check names the
-    # field; let past it, the walk's state overflows in its first block, an
-    # error of the walk that reaches the caller from the child
-    if not forked:
-        monkeypatch.delattr(os, "fork")
+    # field; let past it, the walk's state overflows in its first block and
+    # the run raises before it leaves any output
     doc = {
         "scenario": "fig3_shake",
         "shake": {"windows": 6, "window_s": 0.05},
@@ -311,12 +307,6 @@ def test_shake_memory_does_not_grow_with_run_length(tmp_path):
     shake_peak_bytes(tmp_path, 3)  # first-call allocations out of the way
     short, long = shake_peak_bytes(tmp_path, 10), shake_peak_bytes(tmp_path, 160)
     assert long - short < 0.5e6, (short, long)
-
-
-def test_shake_memory_does_not_grow_with_run_length_in_process(tmp_path, monkeypatch):
-    # tracemalloc sees this process only; without fork the walk runs here
-    monkeypatch.delattr(os, "fork")
-    test_shake_memory_does_not_grow_with_run_length(tmp_path)
 
 
 @pytest.mark.parametrize("budget", [100, 10])
