@@ -329,6 +329,39 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def forbid_processes(monkeypatch):
+    """Make starting a process through ``os.fork`` or ``subprocess`` fail."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("a run started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 11, 2**40])
+    def test_streams_repeat_for_a_seed_and_differ_from_each_other(self, seed):
+        # the meter, polarimeter and channel streams come from one seed,
+        # again on each call, and none repeats another; the channel seed is
+        # an int a summary can hold and a config can give back
+        first, again = harness._streams(seed), harness._streams(seed)
+        assert type(first[2]) is int and 0 <= first[2] < 2**32 and first[2] == again[2]
+        draws = [first[0].random(16), first[1].random(16), np.random.default_rng(first[2]).random(16)]
+        assert np.array_equal(draws[0], again[0].random(16)) and np.array_equal(draws[1], again[1].random(16))
+        assert not any(np.array_equal(draws[i], draws[j]) for i, j in [(0, 1), (0, 2), (1, 2)])
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_summary_channel_seed_reproduces_the_run(self, seed):
+        # the run walks its channel from the derived seed it reports: that
+        # seed given back as channel.seed makes the same records
+        derived = run_fig3_shake(load_config(dict(SMALL_SHAKE, seed=seed)))
+        channel_seed = derived.summary["channel_seed"]
+        assert channel_seed == harness._streams(seed)[2]
+        given_back = run_fig3_shake(load_config(dict(SMALL_SHAKE, seed=seed, channel={"seed": channel_seed})))
+        assert given_back.records == derived.records
+        assert given_back.summary == derived.summary
+
+
 class TestPmdSweep:
     def test_zero_dgd_full_dop_and_monotone_decay(self):
         result = run_pmd_sweep(load_config({"scenario": "pmd_sweep"}))
@@ -545,14 +578,27 @@ class TestCli:
     def test_shake_run_starts_no_process(self, tmp_path, monkeypatch):
         # the channel walks in this process: a forked walk cost more CPU
         # than it saved on two vCPUs (see the README)
-        def no_fork():
-            raise AssertionError("a shake run forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+        forbid_processes(monkeypatch)
         doc = dict(SMALL_SHAKE, output={"trajectory_csv": "trajectory.csv"})
         out = tmp_path / "out"
         assert cli_main(["shake", "--config", write_json(tmp_path / "shake.json", doc), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["shake.csv", "shake_summary.json", "trajectory.csv"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "command,doc,outputs",
+        [
+            ("scan", {"scenario": "fig2_scan", "seed": 4}, ["scan.csv", "scan_summary.json"]),
+            ("pmd", {"scenario": "pmd_sweep"}, ["pmd.csv", "pmd_summary.json"]),
+            ("calibrate", {"scenario": "calibrate", "seed": 3}, ["calibration.json"]),
+        ],
+    )
+    def test_other_runs_start_no_process(self, tmp_path, monkeypatch, command, doc, outputs):
+        # every runner works in the calling process, as the shake run does
+        forbid_processes(monkeypatch)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", write_json(tmp_path / "run.json", doc), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == outputs
         assert_no_child_left()
 
     @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dopsim.channel import evolve_window, fiber_trace
+from dopsim.channel import ChannelSettings, evolve_window, fiber_trace
 from dopsim import harness
 from dopsim.cli import cli_main
 from dopsim.harness import ShakeRecord, _streams, load_config, run_fig3_shake
@@ -281,6 +281,67 @@ def test_walk_that_leaves_the_finite_range_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+#: a channel that walks both the axis and the retardance
+WALKING = ChannelSettings(
+    axis=(0.6, 0.0, 0.8), retardance_mean_rad=1.0, retardance_sigma_rad=0.4,
+    axis_diffusion_rad2_per_s=20.0, correlation_time_s=0.02,
+)
+
+
+def fiber_blocks(windows, block, n=7, rng=None):
+    """The walking channel's fiber states, windows of n samples at 1 ms, as a
+    list of (axes, retardances) per block of ``block`` windows."""
+    rng = np.random.default_rng(5) if rng is None else rng
+    return list(harness._fiber_blocks(WALKING, rng, 1e-3, n, windows, block))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("windows", [3, 4, 7])
+def test_fiber_blocks_split_one_walk(windows, block):
+    # blocks of whole windows, the last one short, that joined equal the
+    # run in one block: the walk goes on from each block's last state
+    n = 7
+    blocks = fiber_blocks(windows, block, n)
+    sizes = [min(block, windows - lo) * n for lo in range(0, windows, block)]
+    assert [a.shape for a, _ in blocks] == [(k, 3) for k in sizes]
+    assert [r.shape for _, r in blocks] == [(k,) for k in sizes]
+    ((axes, retardances),) = fiber_blocks(windows, windows, n)
+    assert np.array_equal(np.concatenate([a for a, _ in blocks]), axes)
+    assert np.array_equal(np.concatenate([r for _, r in blocks]), retardances)
+
+
+@pytest.mark.parametrize("windows", [3, 4, 7])
+def test_fiber_blocks_hold_the_first_and_last_windows(windows):
+    # the first window holds the configured fiber, the windows between walk
+    # it as one evolve_window call, and the last holds it where the walk ended
+    n = 7
+    ((axes, retardances),) = fiber_blocks(windows, windows, n)
+    walk_axes, walk_retardances = evolve_window(
+        WALKING.axis, WALKING.retardance_mean_rad, 1e-3, (windows - 2) * n, WALKING, np.random.default_rng(5)
+    )
+    assert np.array_equal(axes[:n], np.broadcast_to(WALKING.axis, (n, 3)))
+    assert np.array_equal(retardances[:n], np.full(n, WALKING.retardance_mean_rad))
+    assert np.array_equal(axes[n:-n], walk_axes) and np.array_equal(retardances[n:-n], walk_retardances)
+    assert np.array_equal(axes[-n:], np.broadcast_to(walk_axes[-1], (n, 3)))
+    assert np.array_equal(retardances[-n:], np.full(n, walk_retardances[-1]))
+
+
+def test_fiber_blocks_walk_each_block_when_it_is_asked_for():
+    # the walk runs in the caller's process: nothing is drawn before the
+    # first block is taken, and each block draws its own shaken windows'
+    # steps when it is taken, so the run holds one block of states at a time
+    n, rng, reference = 7, np.random.default_rng(5), np.random.default_rng(5)
+    blocks = harness._fiber_blocks(WALKING, rng, 1e-3, n, 6, 2)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    axis, retardance = WALKING.axis, WALKING.retardance_mean_rad
+    for shaken in (1, 2, 1):  # windows 0-1, 2-3 and 4-5 of six, the first and last held
+        next(blocks)
+        walk = evolve_window(axis, retardance, 1e-3, shaken * n, WALKING, reference)
+        axis, retardance = tuple(walk[0][-1].tolist()), float(walk[1][-1])
+        assert rng.bit_generator.state == reference.bit_generator.state
+    assert next(blocks, None) is None
 
 
 def shake_peak_bytes(tmp_path, windows):
